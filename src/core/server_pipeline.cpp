@@ -14,7 +14,6 @@
 #include "nn/serialize.hpp"
 #include "sr/min_model.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dcsr::core {
 
@@ -116,48 +115,28 @@ ServerResult run_server_pipeline(const VideoSource& video, const ServerConfig& c
   }
 
   // 7. One micro model per cluster, trained on that cluster's I frames only
-  //    (§3.1.3). Per-cluster training is embarrassingly parallel — the
-  //    paper's server-side pitch — so the clusters train concurrently. Each
-  //    cluster's Rng is forked from the parent stream serially, in cluster
-  //    order, before any task runs: every cluster sees the exact stream it
-  //    saw under serial execution, so the trained weights are bit-identical
-  //    regardless of thread count.
-  struct ClusterJob {
-    std::vector<sr::TrainSample> data;
-    Rng rng{0};
-    std::unique_ptr<sr::Edsr> model;
-    sr::TrainStats stats;
-  };
-  std::vector<ClusterJob> jobs(static_cast<std::size_t>(result.k));
-  for (int c = 0; c < result.k; ++c) {
-    ClusterJob& job = jobs[static_cast<std::size_t>(c)];
+  //    (§3.1.3). Each cluster's Rng is forked from the parent stream, and its
+  //    model initialised from it, serially in cluster order. The trainer
+  //    fans out over (cluster, batch item) pairs, so the weights are
+  //    bit-identical at any thread count.
+  const auto k = static_cast<std::size_t>(result.k);
+  std::vector<std::vector<sr::TrainSample>> data(k);
+  std::vector<Rng> rngs;
+  rngs.reserve(k);  // the jobs point into it
+  std::vector<sr::TrainJob> jobs;
+  result.micro_models.reserve(k);
+  for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t s = 0; s < iframes.size(); ++s)
-      if (result.labels[s] == c)
-        for (const auto& p : iframes[s].pairs) job.data.push_back(p);
-    if (job.data.empty())
+      if (result.labels[s] == static_cast<int>(c))
+        for (const auto& p : iframes[s].pairs) data[c].push_back(p);
+    if (data[c].empty())
       throw std::logic_error("run_server_pipeline: empty cluster");
-    job.rng = rng.fork();
+    rngs.push_back(rng.fork());
+    result.micro_models.push_back(std::make_unique<sr::Edsr>(cfg.micro, rngs.back()));
+    jobs.push_back({result.micro_models.back().get(), &data[c], &rngs.back()});
   }
-  // Each chunk owns the ClusterJob slots [lo, hi) — model, stats and the
-  // pre-forked Rng it advances all live inside the claimed records.
-  parallel_for_writes(
-      0, result.k, 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return span_of(jobs.data() + lo, static_cast<std::size_t>(hi - lo));
-      },
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t c = lo; c < hi; ++c) {
-          ClusterJob& job = jobs[static_cast<std::size_t>(c)];
-          job.model = std::make_unique<sr::Edsr>(cfg.micro, job.rng);
-          job.stats = sr::train_sr_model(*job.model, job.data, cfg.training, job.rng);
-        }
-      },
-      "core/server_pipeline.cpp:run_server_pipeline(train clusters)");
-  result.micro_models.reserve(static_cast<std::size_t>(result.k));
-  for (auto& job : jobs) {
-    result.train_flops += job.stats.train_flops;
-    result.micro_models.push_back(std::move(job.model));
-  }
+  for (const sr::TrainStats& stats : sr::train_sr_models(jobs, cfg.training))
+    result.train_flops += stats.train_flops;
   result.micro_model_bytes = sr::edsr_model_bytes(cfg.micro);
   return result;
 }

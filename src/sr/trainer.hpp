@@ -42,9 +42,44 @@ struct TrainStats {
   std::uint64_t train_flops = 0;   // total forward+backward FLOPs spent
 };
 
-/// Trains an SR model on the given pairs by sampling random aligned patches.
-/// This is the micro-model training loop of §3.1.3 — the same code trains
-/// the big NAS/NEMO baseline models, just with more data and a larger config.
+/// One model's share of a lockstep training run: the model to train, the
+/// pairs it trains on, and the Rng its patches are sampled from.
+struct TrainJob {
+  Edsr* model = nullptr;
+  const std::vector<TrainSample>* samples = nullptr;
+  Rng* rng = nullptr;
+};
+
+/// Trains every job's model for `opts.iterations` steps. This is the
+/// micro-model training loop of §3.1.3 — one job per cluster — and the same
+/// code trains the big NAS/NEMO baseline models, just with more data and a
+/// larger config. Returns one TrainStats per job.
+///
+/// Every job and option is validated before step 0, so a bad input throws
+/// std::invalid_argument without leaving any model half-trained.
+///
+/// With more than one pool thread all jobs advance in lockstep; on one
+/// thread they train one after another. Each step samples every job's batch
+/// serially, in job order, from that job's own Rng. Forward and backward
+/// then fan out over all (job, batch item) pairs: each pair runs a batch-1
+/// replica of its job's model, with the job's current weights copied in.
+/// The loss over each job's whole batch, the gradient reduction and Adam
+/// run serially. Jobs share nothing, so the order changes no float.
+///
+/// Why the floats equal one model trained on the whole batch: every per-item
+/// op of Conv2d::forward/backward is already independent of the other items
+/// (one im2col and GEMM per item), and the other layers are elementwise. A
+/// batched Conv2d::backward reduces its per-item weight and bias partials
+/// into the zeroed Param::grad in item order. Here each replica's zeroed
+/// grad receives its one item's partial, and the replica grads are added
+/// into the zeroed model grad in item order: the same additions in the same
+/// order. (A replica grad turns a -0 partial into +0, which changes no sum:
+/// an accumulator that starts at +0 never holds -0.) So the weights are
+/// bit-identical to the batched loop's, and hence to any thread count.
+std::vector<TrainStats> train_sr_models(const std::vector<TrainJob>& jobs,
+                                        const TrainOptions& opts);
+
+/// train_sr_models with a single job.
 TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
                           const TrainOptions& opts, Rng& rng);
 

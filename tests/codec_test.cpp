@@ -2,14 +2,18 @@
 
 #include "codec/bits.hpp"
 #include "codec/block_coder.hpp"
+#include "codec/container.hpp"
 #include "codec/dct.hpp"
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/motion.hpp"
 #include "codec/quant.hpp"
+#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
+#include "util/serialize.hpp"
+#include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 #include "video/noise.hpp"
 
@@ -470,6 +474,84 @@ TEST(Codec, HigherCrfUsesFewerBytes) {
   };
   EXPECT_GT(bytes_at(18), bytes_at(35));
   EXPECT_GT(bytes_at(35), bytes_at(51));
+}
+
+// ---- Closed-GOP encode ------------------------------------------------------
+
+// GOP layouts the encoder fans out over: refresh I frames with and without B
+// frames, and one GOP per segment. The segments give full GOPs, short tail
+// GOPs and a segment shorter than one intra period. The pinned CRCs are the
+// container bytes of the serial segment-at-a-time encoder this one replaced.
+struct GopCase {
+  int intra_period;
+  bool use_b_frames;
+  std::uint32_t pinned_crc;
+};
+constexpr GopCase kGopCases[] = {
+    {12, false, 0xec95ad9au}, {12, true, 0xd610a208u}, {0, false, 0x6fe3b445u}};
+
+const std::vector<SegmentPlan>& gop_segments() {
+  static const std::vector<SegmentPlan> segments{{0, 40}, {40, 7}, {47, 43}};
+  return segments;
+}
+
+CodecConfig gop_config(const GopCase& c) {
+  CodecConfig cfg;
+  cfg.crf = 35;
+  cfg.intra_period = c.intra_period;
+  cfg.use_b_frames = c.use_b_frames;
+  cfg.slices = 2;
+  return cfg;
+}
+
+std::vector<std::uint8_t> container_bytes(const EncodedVideo& ev) {
+  ByteWriter w;
+  write_container(ev, w);
+  return w.bytes();
+}
+
+TEST(Codec, GopParallelEncodeBitIdenticalAcrossThreadCounts) {
+  const auto video = make_genre_video(Genre::kSports, 31, 64, 48, 3.0);
+  const int saved_threads = default_thread_count();
+  for (const GopCase& c : kGopCases) {
+    SCOPED_TRACE("intra_period " + std::to_string(c.intra_period) +
+                 (c.use_b_frames ? " with B frames" : ""));
+    std::vector<std::uint8_t> bytes[2];
+    for (const int t : {1, 4}) {
+      set_default_pool_threads(t);
+      bytes[t == 4] = container_bytes(Encoder(gop_config(c)).encode(*video, gop_segments()));
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
+#if DCSR_FP_EXACT_BUILD
+    // The container's own trailing CRC: a CRC over the whole file, CRC
+    // field included, is the same constant for every container.
+    EXPECT_EQ(crc32(bytes[0].data(), bytes[0].size() - 4), c.pinned_crc);
+#endif
+  }
+  set_default_pool_threads(saved_threads);
+}
+
+TEST(Codec, EncodeSegmentMatchesItsSegmentOfEncode) {
+  // Rate control re-encodes one segment at a time through encode_segment,
+  // so its bytes must equal that segment of a whole-video encode.
+  const auto video = make_genre_video(Genre::kSports, 31, 64, 48, 3.0);
+  for (const GopCase& c : kGopCases) {
+    const Encoder enc(gop_config(c));
+    const EncodedVideo whole = enc.encode(*video, gop_segments());
+    for (std::size_t s = 0; s < gop_segments().size(); ++s) {
+      const SegmentPlan& plan = gop_segments()[s];
+      std::vector<FrameYUV> frames;
+      for (int i = 0; i < plan.frame_count; ++i)
+        frames.push_back(rgb_to_yuv420(video->frame(plan.first_frame + i)));
+      EncodedVideo one = whole;
+      one.segments = {enc.encode_segment(frames, plan.first_frame)};
+      EncodedVideo expected = whole;
+      expected.segments = {whole.segments[s]};
+      EXPECT_EQ(container_bytes(one), container_bytes(expected))
+          << "intra_period " << c.intra_period << ", B " << c.use_b_frames
+          << ", segment " << s;
+    }
+  }
 }
 
 }  // namespace

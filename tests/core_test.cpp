@@ -3,6 +3,9 @@
 #include "core/baselines.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
+#include "codec/container.hpp"
+#include "fp_exact.hpp"
+#include "nn/serialize.hpp"
 #include "sr/min_model.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
@@ -279,6 +282,39 @@ TEST(ClientPipeline, PlayDcsrValidatesLabels) {
   // Label out of range.
   std::vector<int> bad(encoded.segments.size(), 5);
   EXPECT_THROW(play_dcsr(encoded, bad, models, *video), std::invalid_argument);
+}
+
+TEST(ServerPipeline, MultiClusterBytesPinnedAcrossThreadCounts) {
+  // At 4 threads the micro models train in lockstep (one after another at
+  // 1 thread) and the encode fans out over closed GOPs. Neither may change
+  // a bit with the thread count, and both
+  // must reproduce the bytes of the program that trained one cluster per
+  // task and encoded one segment at a time (the pinned CRCs).
+  ServerConfig cfg = tiny_config();
+  cfg.codec.intra_period = 12;
+  cfg.training.iterations = 40;
+  cfg.training.batch_size = 2;
+  const auto video = tiny_video();
+  const int saved_threads = default_thread_count();
+  std::vector<std::uint8_t> models[2], container[2];
+  for (const int t : {1, 4}) {
+    set_default_pool_threads(t);
+    const ServerResult r = run_server_pipeline(*video, cfg);
+    ASSERT_GE(r.k, 2);
+    ByteWriter m, c;
+    for (const auto& model : r.micro_models) nn::save_params(*model, m);
+    codec::write_container(r.encoded, c);
+    models[t == 4] = m.bytes();
+    container[t == 4] = c.bytes();
+  }
+  set_default_pool_threads(saved_threads);
+  EXPECT_EQ(models[0], models[1]);
+  EXPECT_EQ(container[0], container[1]);
+#if DCSR_FP_EXACT_BUILD
+  EXPECT_EQ(codec::crc32(models[0].data(), models[0].size()), 0x14b59734u);
+  // The container's own trailing CRC, which covers every byte before it.
+  EXPECT_EQ(codec::crc32(container[0].data(), container[0].size() - 4), 0xc17b2b48u);
+#endif
 }
 
 }  // namespace

@@ -537,6 +537,52 @@ TEST(Trainer, RejectsMismatchedPairs) {
   EXPECT_THROW(train_sr_model(model, {}, TrainOptions{}, rng), std::invalid_argument);
 }
 
+TEST(Trainer, RejectsBadOptionsNamingTheField) {
+  Rng rng(15);
+  Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
+  const TrainSample pair = degraded_pair(textured_frame(32, 32, 16));
+  const auto expect_rejected = [&](TrainOptions opts, const std::string& field) {
+    try {
+      train_sr_model(model, {pair}, opts, rng);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected({.iterations = -1}, "iterations");
+  expect_rejected({.batch_size = 0}, "batch_size");
+  expect_rejected({.patch_size = 0}, "patch_size");
+  expect_rejected({.patch_size = -3}, "patch_size");
+}
+
+TEST(Trainer, ValidatesEveryJobBeforeStepZero) {
+  // A bad second job must throw before the first one trains a single step.
+  Rng rng(17);
+  Edsr good({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
+  Edsr bad({.n_filters = 4, .n_resblocks = 1, .scale = 2}, rng);
+  const std::vector<TrainSample> good_pairs{degraded_pair(textured_frame(32, 32, 18))};
+  const std::vector<TrainSample> bad_pairs = good_pairs;  // wrong for scale 2
+  ByteWriter before;
+  nn::save_params(good, before);
+  Rng good_rng(19), bad_rng(20);
+  TrainOptions opts;
+  opts.iterations = 3;
+  opts.patch_size = 16;
+  EXPECT_THROW(train_sr_models({{&good, &good_pairs, &good_rng}, {&bad, &bad_pairs, &bad_rng}},
+                               opts),
+               std::invalid_argument);
+  ByteWriter after;
+  nn::save_params(good, after);
+  EXPECT_EQ(before.bytes(), after.bytes());
+  EXPECT_EQ(good_rng.next_u64(), Rng(19).next_u64());
+
+  // Jobs sharing an Rng would sample differently at different thread counts.
+  Edsr other({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
+  EXPECT_THROW(train_sr_models({{&good, &good_pairs, &good_rng}, {&other, &good_pairs, &good_rng}},
+                               opts),
+               std::invalid_argument);
+}
+
 TEST(ModelZoo, NamedConfigsMatchPaper) {
   EXPECT_EQ(dcsr1_config().n_resblocks, 4);
   EXPECT_EQ(dcsr2_config().n_resblocks, 12);

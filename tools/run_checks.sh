@@ -41,8 +41,10 @@
 #               (including the per-event heap-allocation counters) end to
 #               end through the CLI
 #   decode-smoke dcsr_cli in the checked build: synth the same video at
-#               slice counts 1/2/4, decode every container under both
-#               DCSR_THREADS=1 and =4, and byte-diff all six raw-YUV dumps
+#               slice counts 1/2/4, each under both DCSR_THREADS=1 and =4,
+#               and cmp the two containers (encode determinism); decode
+#               every container under both DCSR_THREADS=1 and =4, and
+#               byte-diff all six raw-YUV dumps
 #               against each other — decoded output must be bit-identical
 #               across slice counts AND thread counts. Also decodes the
 #               committed pre-slice (v2, sliceless) fixture to pin backward
@@ -220,8 +222,17 @@ run_leg() {
       cmake --build "$build" -j --target dcsr_cli || return 1
       local cli="$build/tools/dcsr_cli" s t ref=""
       for s in 1 2 4; do
-        "$cli" synth "$build/decode-smoke-s$s.dcv" sports 7 2 30 "$s" \
-          >/dev/null || return 1
+        # The encoder fans out over GOPs: its container must not depend on
+        # the thread count either.
+        env DCSR_THREADS=1 "$cli" synth "$build/decode-smoke-s$s.dcv" sports 7 2 30 \
+          "$s" >/dev/null || return 1
+        env DCSR_THREADS=4 "$cli" synth "$build/decode-smoke-s$s-t4.dcv" sports 7 2 \
+          30 "$s" >/dev/null || return 1
+        if ! cmp -s "$build/decode-smoke-s$s.dcv" "$build/decode-smoke-s$s-t4.dcv"; then
+          echo "decode-smoke: slices=$s container differs between" \
+               "DCSR_THREADS=1 and =4 encodes" >&2
+          return 1
+        fi
         for t in 1 4; do
           env DCSR_THREADS="$t" "$cli" decode "$build/decode-smoke-s$s.dcv" \
             "$build/decode-smoke-s$s-t$t.yuv" >/dev/null || return 1
@@ -234,7 +245,8 @@ run_leg() {
           fi
         done
       done
-      echo "decode-smoke: YUV bit-identical across slices {1,2,4} x threads {1,4}"
+      echo "decode-smoke: containers bit-identical across encode threads {1,4};" \
+           "YUV bit-identical across slices {1,2,4} x threads {1,4}"
       # Backward compatibility: the committed pre-slice v2 container must
       # still decode through the same CLI path.
       env DCSR_THREADS=4 "$cli" decode "$ROOT/tests/data/pre-slice-v2.dcv" \
