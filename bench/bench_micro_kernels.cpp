@@ -21,6 +21,8 @@
 #include "image/metrics.hpp"
 #include "image/resize.hpp"
 #include "nn/conv.hpp"
+#include "nn/loss.hpp"
+#include "nn/optim.hpp"
 #include "simd/dispatch.hpp"
 #include "sr/edsr.hpp"
 #include "tensor/ops.hpp"
@@ -175,6 +177,82 @@ void BM_Conv2dTrainStepThreads(benchmark::State& state) {
   set_default_pool_threads(dflt);
 }
 BENCHMARK(BM_Conv2dTrainStepThreads)->Arg(1)->Arg(sweep_threads());
+
+// The five per-item kernels of a Conv2d training step on one 24x24 item of
+// the micro config, at one thread (inside training they run within the
+// trainer's parallel region, so serially): 0 im2col, 1 forward GEMM with
+// bias, 2 weight gradient dY * cols^T, 3 dcols = W^T * dY, 4 col2im.
+// Args: kernel, in channels, out channels.
+void BM_ConvTrainKernel(benchmark::State& state) {
+  static const char* const kNames[] = {"im2col", "fwd_gemm", "weight_grad",
+                                       "dcols", "col2im"};
+  const int dflt = base_threads();
+  const int kernel = static_cast<int>(state.range(0));
+  const int cin = static_cast<int>(state.range(1));
+  const int cout = static_cast<int>(state.range(2));
+  const int hw = 24 * 24;
+  Rng rng(5);
+  const Tensor x = Tensor::randn({1, cin, 24, 24}, rng);
+  const Tensor w = Tensor::randn({cout, cin * 9}, rng);
+  const Tensor bias = Tensor::randn({cout, 1}, rng);
+  const Tensor dy = Tensor::randn({cout, hw}, rng);
+  Tensor cols({cin * 9, hw});
+  im2col_into(x, 0, 3, 1, 1, cols);
+  Tensor y({cout, hw});
+  Tensor dw;
+  Tensor dcols;
+  matmul_tn_into(w, dy, dcols);
+  Tensor dx({1, cin, 24, 24});
+  set_default_pool_threads(1);
+  for (auto _ : state) {
+    float* written = nullptr;
+    switch (kernel) {
+      case 0: im2col_into(x, 0, 3, 1, 1, cols); written = cols.data(); break;
+      case 1: matmul_bias_into(w, cols, bias.data(), y); written = y.data(); break;
+      case 2: matmul_nt_into(dy, cols, dw); written = dw.data(); break;
+      case 3: matmul_tn_into(w, dy, dcols); written = dcols.data(); break;
+      default: col2im_add(dcols, dx, 0, 3, 1, 1); written = dx.data(); break;
+    }
+    benchmark::DoNotOptimize(written);
+    benchmark::ClobberMemory();
+  }
+  set_default_pool_threads(dflt);
+  state.SetLabel(std::string(kNames[kernel]) + " " + std::to_string(cin) +
+                 "->" + std::to_string(cout));
+}
+BENCHMARK(BM_ConvTrainKernel)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {3, 8}, {8}})
+    ->Args({0, 8, 3})->Args({1, 8, 3})->Args({2, 8, 3})->Args({3, 8, 3})
+    ->Args({4, 8, 3});
+
+// One training step of the micro config (8 filters, 2 resblocks, scale 1)
+// on a batch of four 24x24 patches: forward, MSE loss, backward, Adam. The
+// FLOP count follows the trainer's convention (three forward passes' worth
+// per item), so gflops is the figure the server's training throughput is
+// judged by.
+void BM_EdsrTrainStep(benchmark::State& state) {
+  const int dflt = base_threads();
+  Rng rng(6);
+  sr::Edsr model({.n_filters = 8, .n_resblocks = 2, .scale = 1}, rng);
+  nn::Adam opt(model.params(), 1e-4);
+  const int batch = 4, patch = 24;
+  const Tensor x = Tensor::randn({batch, 3, patch, patch}, rng, 0.2f);
+  const Tensor target = Tensor::randn({batch, 3, patch, patch}, rng, 0.2f);
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const nn::LossResult loss = nn::mse_loss(model.forward(x), target);
+    model.zero_grad();
+    benchmark::DoNotOptimize(model.backward(loss.grad));
+    opt.step();
+    benchmark::DoNotOptimize(loss.value);
+  }
+  set_default_pool_threads(dflt);
+  const double step_flops = 3.0 * static_cast<double>(model.flops(patch, patch)) * batch;
+  state.counters["gflops"] = benchmark::Counter(
+      step_flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EdsrTrainStep)->Arg(1)->Arg(sweep_threads())->UseRealTime();
 
 void BM_EdsrInference(benchmark::State& state) {
   Rng rng(6);

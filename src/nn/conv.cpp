@@ -54,10 +54,16 @@ Tensor Conv2d::forward(const Tensor& x) {
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
   Tensor out({N, out_channels_, oh, ow});
-  if (training())
-    cached_cols_.assign(static_cast<std::size_t>(N), Tensor());
-  else
+  // Training keeps each item's columns for backward, in buffers whose
+  // capacity carries over from the previous step; eval mode draws them from
+  // the thread's workspace instead.
+  const Shape cols_shape{in_channels_ * kernel_ * kernel_, oh * ow};
+  if (training()) {
+    cached_cols_.resize(static_cast<std::size_t>(N));
+    for (Tensor& cols : cached_cols_) cols.reset(cols_shape);
+  } else {
     cached_cols_.clear();
+  }
   // Batch items are independent and write disjoint output slices; each chunk
   // claims the NCHW output planes of its items [lo, hi). (The per-item
   // cached_cols_ slots are distinct Tensor objects, also indexed by n.)
@@ -68,19 +74,16 @@ Tensor Conv2d::forward(const Tensor& x) {
                    static_cast<std::size_t>(hi - lo) * item_floats);
   };
   parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
+    WorkspaceTensor scratch;
+    if (!training()) scratch = Workspace::local().acquire(cols_shape);
     for (std::int64_t n = lo; n < hi; ++n) {
-      Tensor cols = im2col(x, static_cast<int>(n), kernel_, stride_, pad_);
-      const Tensor y = matmul(weight_.value, cols);  // outC x (oh*ow)
-      float* dst = out.data() +
-                   static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-      const float* src = y.data();
-      for (int c = 0; c < out_channels_; ++c) {
-        const float b = bias_.value[static_cast<std::size_t>(c)];
-        for (int i = 0; i < oh * ow; ++i)
-          dst[static_cast<std::size_t>(c) * oh * ow + i] =
-              src[static_cast<std::size_t>(c) * oh * ow + i] + b;
-      }
-      if (training()) cached_cols_[static_cast<std::size_t>(n)] = std::move(cols);
+      Tensor& cols =
+          training() ? cached_cols_[static_cast<std::size_t>(n)] : *scratch;
+      // The same im2col + bias-epilogue GEMM as infer_into.
+      im2col_into(x, static_cast<int>(n), kernel_, stride_, pad_, cols);
+      matmul_bias_into(weight_.value, cols, bias_.value.data(),
+                       MutMat(out.data() + static_cast<std::size_t>(n) * item_floats,
+                              out_channels_, oh * ow));
     }
   }, "nn/conv.cpp:Conv2d::forward");
   FiniteCheckGuard{*this, out};
@@ -141,8 +144,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor grad_in(x.shape());
   // Per-item weight/bias partials, reduced in index order after the parallel
   // section: float accumulation order must not depend on the thread count.
-  std::vector<Tensor> dw(static_cast<std::size_t>(N));
-  std::vector<Tensor> db(static_cast<std::size_t>(N));
+  // Both live in member scratch whose capacity carries over between steps.
+  item_dw_.resize(static_cast<std::size_t>(N));
+  item_db_.reset({N, out_channels_});
+  const Shape cols_shape{in_channels_ * kernel_ * kernel_, oh * ow};
+  const int hw = oh * ow;
   // Each chunk owns its items' grad_in planes (col2im_add only touches item
   // n's slice) plus the per-item dw/db slots reduced serially afterwards.
   const std::size_t in_floats = static_cast<std::size_t>(x.dim(1)) *
@@ -153,41 +159,51 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                    static_cast<std::size_t>(hi - lo) * in_floats);
   };
   parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
+    Workspace& ws = Workspace::local();
+    WorkspaceTensor dcols = ws.acquire(cols_shape);
+    WorkspaceTensor scratch;
     for (std::int64_t item = lo; item < hi; ++item) {
       const int n = static_cast<int>(item);
       // This item's slice of grad_out is already a contiguous
       // (outC) x (oh*ow) matrix, so view it in place instead of copying.
       const float* src = grad_out.data() +
-                         static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-      const ConstMat go(src, out_channels_, oh * ow);
+                         static_cast<std::size_t>(n) * out_channels_ * hw;
+      const ConstMat go(src, out_channels_, hw);
 
       // Reuse the columns built by forward; recompute only if a caller ran
       // forward in eval mode and then asked for gradients anyway.
-      const bool have_cols = static_cast<std::size_t>(n) < cached_cols_.size() &&
-                             !cached_cols_[static_cast<std::size_t>(n)].empty();
-      Tensor scratch;
-      if (!have_cols) scratch = im2col(x, n, kernel_, stride_, pad_);
+      const bool have_cols = static_cast<std::size_t>(n) < cached_cols_.size();
+      if (!have_cols) {
+        if (!scratch.valid()) scratch = ws.acquire(cols_shape);
+        im2col_into(x, n, kernel_, stride_, pad_, *scratch);
+      }
       const Tensor& cols =
-          have_cols ? cached_cols_[static_cast<std::size_t>(n)] : scratch;
+          have_cols ? cached_cols_[static_cast<std::size_t>(n)] : *scratch;
 
       // dW_n = dY * cols^T ; db_n = rowsum(dY) ; dX_n = col2im(W^T * dY).
-      matmul_nt_into(go, cols, dw[static_cast<std::size_t>(n)]);
-      Tensor dbn({out_channels_, 1});
-      for (int c = 0; c < out_channels_; ++c) {
-        float acc = 0.0f;
-        const float* row = src + static_cast<std::size_t>(c) * oh * ow;
-        for (int i = 0; i < oh * ow; ++i) acc += row[i];
-        dbn[static_cast<std::size_t>(c)] = acc;
+      matmul_nt_into(go, cols, item_dw_[static_cast<std::size_t>(n)]);
+      // Every channel's sum runs serially over i from 0, as one chain; the
+      // chains of a block of channels advance together so they overlap.
+      float* dbn = item_db_.data() + static_cast<std::size_t>(n) * out_channels_;
+      constexpr int kBlock = 8;
+      for (int c0 = 0; c0 < out_channels_; c0 += kBlock) {
+        const int cn = std::min(kBlock, out_channels_ - c0);
+        float acc[kBlock] = {};
+        const float* rows = src + static_cast<std::size_t>(c0) * hw;
+        for (int i = 0; i < hw; ++i)
+          for (int c = 0; c < cn; ++c)
+            acc[c] += rows[static_cast<std::size_t>(c) * hw + i];
+        for (int c = 0; c < cn; ++c) dbn[c0 + c] = acc[c];
       }
-      db[static_cast<std::size_t>(n)] = std::move(dbn);
-      Tensor dcols;
-      matmul_tn_into(weight_.value, go, dcols);
-      col2im_add(dcols, grad_in, n, kernel_, stride_, pad_);
+      matmul_tn_into(weight_.value, go, *dcols);
+      col2im_add(*dcols, grad_in, n, kernel_, stride_, pad_);
     }
   }, "nn/conv.cpp:Conv2d::backward");
   for (int n = 0; n < N; ++n) {
-    weight_.grad.add_(dw[static_cast<std::size_t>(n)]);
-    bias_.grad.add_(db[static_cast<std::size_t>(n)]);
+    weight_.grad.add_(item_dw_[static_cast<std::size_t>(n)]);
+    const float* dbn = item_db_.data() + static_cast<std::size_t>(n) * out_channels_;
+    for (int c = 0; c < out_channels_; ++c)
+      bias_.grad[static_cast<std::size_t>(c)] += dbn[c];
   }
   return grad_in;
 }

@@ -47,6 +47,11 @@ class Conv2d final : public Module {
   // in training mode — inference would pay k*k times the input's memory for
   // matrices nobody reads.
   std::vector<Tensor> cached_cols_;
+  // Backward's per-item weight and bias gradients (item_db_ is N x outC),
+  // reduced in item order after the parallel section. Members so their
+  // capacity carries over from one step to the next.
+  std::vector<Tensor> item_dw_;
+  Tensor item_db_;
 };
 
 }  // namespace dcsr::nn

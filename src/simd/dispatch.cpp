@@ -104,6 +104,9 @@ const char* family_name(int family) noexcept {
     case kFamYuvToRgb: return "yuv2rgb";
     case kFamRgbToYuv: return "rgb2yuv";
     case kFamMc: return "mc";
+    case kFamGemmEdge: return "gemm_edge";
+    case kFamDot: return "dot";
+    case kFamCol2im: return "col2im";
     default: return "?";
   }
 }

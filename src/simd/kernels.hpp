@@ -28,6 +28,9 @@ enum Family : int {
   kFamYuvToRgb,
   kFamRgbToYuv,
   kFamMc,
+  kFamGemmEdge,
+  kFamDot,
+  kFamCol2im,
   kNumFamilies,
 };
 const char* family_name(int family) noexcept;
@@ -40,11 +43,12 @@ const char* family_name(int family) noexcept;
 /// Bit-exactness contract per family (enforced by tests/simd_test.cpp):
 /// every entry must produce byte-identical output to the scalar oracle for
 /// all finite inputs in the documented domain. For the float-accumulating
-/// families (dct/idct/dequant_idct/gemm/yuv) the oracle's semantics on this
-/// toolchain are fused multiply-add chains in ascending index order (GCC
-/// contracts `acc += a*b` at -O3), so overriding backends must use FMA
-/// intrinsics in the same order — which is why SSE2 (no FMA) only overrides
-/// the families whose math is exact without it (quant/dequant/im2col/mc).
+/// families (dct/idct/dequant_idct/gemm/gemm_edge/dot/yuv) the oracle's
+/// semantics on this toolchain are fused multiply-add chains in ascending
+/// index order (GCC contracts `acc += a*b` at -O3), so overriding backends
+/// must use FMA intrinsics in the same order — which is why SSE2 (no FMA)
+/// only overrides the families whose math is exact without it
+/// (quant/dequant/im2col/col2im/mc).
 struct KernelTable {
   // 8x8 forward / inverse DCT on raster-order 64-float blocks. in/out must
   // not alias.
@@ -67,16 +71,43 @@ struct KernelTable {
   // GEMM register tile: C (6 rows x 16 cols, row stride ldc) +=
   // A-panel (6 x kn, element stride a_ks, row stride a_rs) * B-panel
   // (kn x 16, row stride ldb). The full-tile fast path of gemm_strided in
-  // tensor/ops.cpp; edge tiles stay scalar there.
+  // tensor/ops.cpp.
   void (*gemm_tile_6x16)(const float* a, std::size_t a_rs, std::size_t a_ks,
                          const float* b, std::size_t ldb, float* c,
                          std::size_t ldc, int kn);
+  // The edge rows of a row block: 1 <= mr <= 5 rows of nc columns, nc a
+  // multiple of 16, same operand layout. For each k step in ascending
+  // order every element does c += a * b once (the k order of the 6x16 tile
+  // and of gemm_strided's scalar column-edge loop, so all three share one
+  // arithmetic). Taking every column tile in one call lets a backend cover
+  // more columns per k step when there are few rows.
+  void (*gemm_edge_rows)(const float* a, std::size_t a_rs, std::size_t a_ks,
+                         const float* b, std::size_t ldb, float* c,
+                         std::size_t ldc, int mr, int nc, int kn);
+
+  // Dot-product tile of matmul_nt (the conv weight gradient): for the
+  // mr <= 4 rows of A (row stride lda) and nr <= 2 rows of B (row stride
+  // ldb), each of k floats, c[r*ldc + j] = dot(A_r, B_j), defined as
+  //   acc[l] = sum over t = l, l+8, l+16, ... below k8 = k - k % 8 of
+  //            a[t]*b[t] (one c += a*b per step, ascending t, from 0),
+  //   s = 0; s += acc[0]; ...; s += acc[7];  then s += a[t]*b[t] for the
+  //   tail t = k8 .. k-1 in ascending order.
+  // Overwrites c.
+  void (*dot_tile_4x2)(const float* a, std::size_t lda, const float* b,
+                       std::size_t ldb, float* c, std::size_t ldc, int mr,
+                       int nr, int k);
 
   // One im2col output row: dst[y*ow + x] = src[sy*w + sx] where
   // sy = y*stride + ky - pad, sx = x*stride + kx - pad, else 0 when out of
   // bounds. src is one (n, c) input plane of extent h x w; dst has
   // oh*ow floats.
   void (*im2col_row)(const float* src, int h, int w, int oh, int ow,
+                     int stride, int pad, int ky, int kx, float* dst);
+  // Its adjoint, one column-matrix row scattered back: dst[sy*w + sx] +=
+  // src[y*ow + x] for every in-bounds (sy, sx) as above, in ascending
+  // (y, x) order (each dst element receives at most one addend). dst is
+  // one (n, c) plane of extent h x w.
+  void (*col2im_row)(const float* src, int h, int w, int oh, int ow,
                      int stride, int pad, int ky, int kx, float* dst);
 
   // One output row of YUV420 -> RGB with bilinear chroma upsampling.
@@ -117,9 +148,9 @@ const KernelTable& scalar_table() noexcept;
 /// Whether the oracle TU was compiled with FMA contraction available
 /// (__FMA__), i.e. whether its `acc += a * b` chains are fused. Backends
 /// mirror those chains with FMA intrinsics, so the dispatcher only installs
-/// a backend's FMA-dependent families (dct/idct/dequant_idct/gemm/yuv) when
-/// this is true; the exact families (quant/dequant/im2col/mc) are
-/// unconditional.
+/// a backend's FMA-dependent families (dct/idct/dequant_idct/gemm/gemm_edge/
+/// dot/yuv) when this is true; the exact families
+/// (quant/dequant/im2col/col2im/mc) are unconditional.
 bool scalar_fma_contraction() noexcept;
 
 /// Backend TUs overlay their entries onto a copy of a lower table. Each

@@ -2,15 +2,17 @@
 // installed only when cpuid reports both avx2 and fma.
 //
 // Bit-exactness strategy per family:
-//   - dct/idct/dequant_idct/gemm/yuv: the scalar oracle's `acc += a * b`
-//     chains are FMA-contracted by GCC, so these kernels replay the same
-//     chains — same terms, same ascending accumulation order — with
-//     _mm256_fmadd_ps and friends, vectorised across the *independent*
-//     outputs (the 8 lanes of a block row / C-tile columns / pixels of a
-//     row), never across an accumulation. Installed only when
-//     scalar_fma_contraction() says the oracle was contracted.
-//   - quant/dequant/im2col/mc: exact math (division + exact lround
-//     emulation, single multiplies, copies); installed unconditionally.
+//   - dct/idct/dequant_idct/gemm/gemm_edge/dot/yuv: the scalar oracle's
+//     `acc += a * b` chains are FMA-contracted by GCC, so these kernels
+//     replay the same chains — same terms, same ascending accumulation
+//     order — with _mm256_fmadd_ps and friends, vectorised across the
+//     *independent* chains (the 8 lanes of a block row / C-tile columns /
+//     pixels of a row / the 8 lane accumulators of a dot product), never
+//     along one. Installed only when scalar_fma_contraction() says the
+//     oracle was contracted.
+//   - quant/dequant/im2col/col2im/mc: exact math (division + exact lround
+//     emulation, single multiplies, copies, single adds); installed
+//     unconditionally.
 // Edge pixels and tail lanes reuse the kernels_inline.hpp helpers — the
 // same inlined code the scalar oracle runs.
 #include "simd/kernels.hpp"
@@ -18,6 +20,8 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <cmath>
 
 #include "simd/kernels_inline.hpp"
 
@@ -226,19 +230,170 @@ void gemm_tile_6x16_avx2(const float* A, std::size_t a_rs, std::size_t a_ks,
   _mm256_storeu_ps(C + 5 * ldc + 8, c51);
 }
 
+// Edge rows of a row block: the 6x16 tile's register-resident accumulation
+// for MR < 6 rows and NV vectors of 8 columns. Per element the k steps run
+// in the same ascending order as the oracle's in-memory loop, one vfmadd
+// each. Every accumulator is one dependent chain of vfmadds, so with one or
+// two rows the tile spans 32 columns to keep at least 4 chains in flight.
+template <int MR, int NV>
+void gemm_rows(const float* A, std::size_t a_rs, std::size_t a_ks,
+               const float* B, std::size_t ldb, float* C, std::size_t ldc,
+               int kn) {
+  __m256 acc[MR][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_loadu_ps(C + r * ldc + 8 * v);
+  for (int kk = 0; kk < kn; ++kk) {
+    const float* b = B + static_cast<std::size_t>(kk) * ldb;
+    const float* a = A + static_cast<std::size_t>(kk) * a_ks;
+    __m256 bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(b + 8 * v);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * a_rs);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(C + r * ldc + 8 * v, acc[r][v]);
+}
+
+void gemm_edge_rows_avx2(const float* A, std::size_t a_rs, std::size_t a_ks,
+                         const float* B, std::size_t ldb, float* C,
+                         std::size_t ldc, int mr, int nc, int kn) {
+  using Fn = void (*)(const float*, std::size_t, std::size_t, const float*,
+                      std::size_t, float*, std::size_t, int);
+  static constexpr Fn kWide[2] = {&gemm_rows<1, 4>, &gemm_rows<2, 4>};
+  static constexpr Fn kTile[5] = {&gemm_rows<1, 2>, &gemm_rows<2, 2>,
+                                  &gemm_rows<3, 2>, &gemm_rows<4, 2>,
+                                  &gemm_rows<5, 2>};
+  int j = 0;
+  if (mr <= 2)
+    for (; j + 32 <= nc; j += 32) kWide[mr - 1](A, a_rs, a_ks, B + j, ldb, C + j, ldc, kn);
+  for (; j < nc; j += 16) kTile[mr - 1](A, a_rs, a_ks, B + j, ldb, C + j, ldc, kn);
+}
+
+// --- matmul_nt dot tile -----------------------------------------------------
+
+// In-register 8x8 transpose: afterwards v[l] holds lane l of the eight
+// input vectors, input i in lane i.
+inline void transpose8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// MR x NR outputs, each one 8-lane vfmadd chain along k held in a register,
+// then the oracle's serial lane sum (s = 0, s += lane 0..7) and its fused
+// tail. Lanes are independent accumulations, so vectorising across them is
+// exact; only the order inside each lane matters, and it is ascending. The
+// lane sums of all (up to 8) outputs run side by side: after a transpose,
+// vector l holds lane l of every output, so eight vector adds perform each
+// output's serial sum in its own lane.
+template <int MR, int NR>
+void dot_tile(const float* A, std::size_t lda, const float* B, std::size_t ldb,
+              float* C, std::size_t ldc, int k) {
+  __m256 acc[MR][NR];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+    for (int c = 0; c < NR; ++c) acc[r][c] = _mm256_setzero_ps();
+  int kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    __m256 bv[NR];
+#pragma GCC unroll 8
+    for (int c = 0; c < NR; ++c)
+      bv[c] = _mm256_loadu_ps(B + static_cast<std::size_t>(c) * ldb + kk);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_loadu_ps(A + static_cast<std::size_t>(r) * lda + kk);
+#pragma GCC unroll 8
+      for (int c = 0; c < NR; ++c) acc[r][c] = _mm256_fmadd_ps(av, bv[c], acc[r][c]);
+    }
+  }
+  __m256 v[8];
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i)
+    v[i] = i < MR * NR ? acc[i / NR][i % NR] : _mm256_setzero_ps();
+  transpose8(v);
+  __m256 sum = _mm256_setzero_ps();
+#pragma GCC unroll 8
+  for (int l = 0; l < 8; ++l) sum = _mm256_add_ps(sum, v[l]);
+  float sums[8];
+  _mm256_storeu_ps(sums, sum);
+  for (int r = 0; r < MR; ++r) {
+    const float* a = A + static_cast<std::size_t>(r) * lda;
+    for (int c = 0; c < NR; ++c) {
+      const float* b = B + static_cast<std::size_t>(c) * ldb;
+      float s = sums[r * NR + c];
+      for (int t = kk; t < k; ++t) s = std::fma(a[t], b[t], s);
+      C[static_cast<std::size_t>(r) * ldc + c] = s;
+    }
+  }
+}
+
+void dot_tile_4x2_avx2(const float* A, std::size_t lda, const float* B,
+                       std::size_t ldb, float* C, std::size_t ldc, int mr,
+                       int nr, int k) {
+  using Fn = void (*)(const float*, std::size_t, const float*, std::size_t,
+                      float*, std::size_t, int);
+  static constexpr Fn kTiles[4][2] = {{&dot_tile<1, 1>, &dot_tile<1, 2>},
+                                      {&dot_tile<2, 1>, &dot_tile<2, 2>},
+                                      {&dot_tile<3, 1>, &dot_tile<3, 2>},
+                                      {&dot_tile<4, 1>, &dot_tile<4, 2>}};
+  kTiles[mr - 1][nr - 1](A, lda, B, ldb, C, ldc, k);
+}
+
 // --- im2col -----------------------------------------------------------------
 
+// Row copy / zero fill. A run of at least 8 floats ends with one vector
+// aligned to its last element, overlapping the one before: rewriting the
+// same values is harmless (src and dst never overlap), and it keeps short
+// rows such as a 24-wide patch's 23-float interior free of scalar tails.
 inline void copy_row(const float* src, float* dst, int n) {
-  int x = 0;
-  for (; x + 8 <= n; x += 8) _mm256_storeu_ps(dst + x, _mm256_loadu_ps(src + x));
-  for (; x < n; ++x) dst[x] = src[x];
+  if (n < 8) {
+    for (int x = 0; x < n; ++x) dst[x] = src[x];
+    return;
+  }
+  for (int x = 0; x + 8 < n; x += 8)
+    _mm256_storeu_ps(dst + x, _mm256_loadu_ps(src + x));
+  _mm256_storeu_ps(dst + n - 8, _mm256_loadu_ps(src + n - 8));
 }
 
 inline void zero_row(float* dst, int n) {
-  int x = 0;
+  if (n < 8) {
+    for (int x = 0; x < n; ++x) dst[x] = 0.0f;
+    return;
+  }
   const __m256 z = _mm256_setzero_ps();
-  for (; x + 8 <= n; x += 8) _mm256_storeu_ps(dst + x, z);
-  for (; x < n; ++x) dst[x] = 0.0f;
+  for (int x = 0; x + 8 < n; x += 8) _mm256_storeu_ps(dst + x, z);
+  _mm256_storeu_ps(dst + n - 8, z);
 }
 
 void im2col_row_avx2(const float* src, int H, int W, int oh, int ow,
@@ -246,6 +401,26 @@ void im2col_row_avx2(const float* src, int H, int W, int oh, int ow,
   if (stride == 1) {
     const int x_lo = std::max(0, pad - kx);
     const int x_hi = std::min(ow, W - kx + pad);
+    const int y_lo = std::max(0, pad - ky);
+    const int y_hi = std::min(oh, H - ky + pad);
+    if (ow == W && x_lo < x_hi && y_lo < y_hi) {
+      // Same-size output: dst and the input plane share a row pitch, so the
+      // in-bounds window is one contiguous copy at a fixed offset. The copy
+      // also fills the out-of-bounds columns between its rows with the
+      // neighbouring row's pixels; those are zeroed after it.
+      const int first = y_lo * W + x_lo;
+      const int last = (y_hi - 1) * W + x_hi;
+      zero_row(dst, first);
+      copy_row(src + first + (ky - pad) * W + (kx - pad), dst + first,
+               last - first);
+      for (int y = y_lo; y < y_hi; ++y) {
+        float* d = dst + y * W;
+        for (int x = 0; x < x_lo; ++x) d[x] = 0.0f;
+        for (int x = x_hi; x < W; ++x) d[x] = 0.0f;
+      }
+      zero_row(dst + last, oh * ow - last);
+      return;
+    }
     for (int y = 0; y < oh; ++y) {
       const int sy = y * stride + ky - pad;
       float* d = dst + y * ow;
@@ -267,6 +442,41 @@ void im2col_row_avx2(const float* src, int H, int W, int oh, int ow,
           (sy >= 0 && sy < H && sx >= 0 && sx < W) ? src[sy * W + sx] : 0.0f;
     }
   }
+}
+
+// --- col2im -----------------------------------------------------------------
+
+// dst[i] += src[i] for i < n: full vectors, then one masked vector for the
+// tail (masked lanes are neither read nor written). Each lane is one IEEE
+// add, as in the oracle.
+inline void add_row(const float* src, float* dst, int n) {
+  int x = 0;
+  for (; x + 8 <= n; x += 8)
+    _mm256_storeu_ps(dst + x, _mm256_add_ps(_mm256_loadu_ps(dst + x),
+                                            _mm256_loadu_ps(src + x)));
+  if (x < n) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n - x), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(dst + x, mask,
+                        _mm256_add_ps(_mm256_maskload_ps(dst + x, mask),
+                                      _mm256_maskload_ps(src + x, mask)));
+  }
+}
+
+void col2im_row_avx2(const float* src, int H, int W, int oh, int ow,
+                     int stride, int pad, int ky, int kx, float* dst) {
+  if (stride != 1) {
+    scalar_table().col2im_row(src, H, W, oh, ow, stride, pad, ky, kx, dst);
+    return;
+  }
+  const int y_lo = std::max(0, pad - ky);
+  const int y_hi = std::min(oh, H + pad - ky);
+  const int x_lo = std::max(0, pad - kx);
+  const int x_hi = std::min(ow, W + pad - kx);
+  if (x_lo >= x_hi) return;
+  for (int y = y_lo; y < y_hi; ++y)
+    add_row(src + y * ow + x_lo, dst + (y + ky - pad) * W + (x_lo + kx - pad),
+            x_hi - x_lo);
 }
 
 // --- YUV <-> RGB rows -------------------------------------------------------
@@ -468,6 +678,8 @@ bool populate_avx2(KernelTable& t) noexcept {
   t.origin[kFamDequant] = Backend::kAvx2;
   t.im2col_row = &im2col_row_avx2;
   t.origin[kFamIm2col] = Backend::kAvx2;
+  t.col2im_row = &col2im_row_avx2;
+  t.origin[kFamCol2im] = Backend::kAvx2;
   t.mc_copy_block = &mc_copy_block_avx2;
   t.mc_bi_block = &mc_bi_block_avx2;
   t.origin[kFamMc] = Backend::kAvx2;
@@ -480,6 +692,10 @@ bool populate_avx2(KernelTable& t) noexcept {
     t.origin[kFamDequantIdct] = Backend::kAvx2;
     t.gemm_tile_6x16 = &gemm_tile_6x16_avx2;
     t.origin[kFamGemm] = Backend::kAvx2;
+    t.gemm_edge_rows = &gemm_edge_rows_avx2;
+    t.origin[kFamGemmEdge] = Backend::kAvx2;
+    t.dot_tile_4x2 = &dot_tile_4x2_avx2;
+    t.origin[kFamDot] = Backend::kAvx2;
     t.yuv_to_rgb_row = &yuv_to_rgb_row_avx2;
     t.origin[kFamYuvToRgb] = Backend::kAvx2;
     t.rgb_to_yuv_row = &rgb_to_yuv_row_avx2;

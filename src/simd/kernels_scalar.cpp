@@ -185,6 +185,55 @@ void gemm_tile_6x16_scalar(const float* A, std::size_t a_rs, std::size_t a_ks,
 
 #endif
 
+// Edge rows: gemm_strided's historical runtime-extent loop, one kNR-column
+// tile at a time, accumulating straight into C.
+void gemm_edge_rows_scalar(const float* A, std::size_t a_rs, std::size_t a_ks,
+                           const float* B, std::size_t ldb, float* C,
+                           std::size_t ldc, int mr, int nc, int kn) {
+  for (int j0 = 0; j0 < nc; j0 += kNR)
+    for (int kk = 0; kk < kn; ++kk) {
+      const float* b = B + static_cast<std::size_t>(kk) * ldb + j0;
+      for (int r = 0; r < mr; ++r) {
+        const float a = A[r * a_rs + static_cast<std::size_t>(kk) * a_ks];
+        float* c = C + static_cast<std::size_t>(r) * ldc + j0;
+        for (int j = 0; j < kNR; ++j) c[j] += a * b[j];
+      }
+    }
+}
+
+// matmul_nt's historical dot tile (see kernels.hpp for the definition):
+// each output accumulates over kDL independent lanes along k, then sums the
+// lanes in order and adds the tail.
+constexpr int kDR = 4;  // A rows per tile
+constexpr int kDC = 2;  // B rows per tile
+constexpr int kDL = 8;  // accumulation lanes
+
+void dot_tile_4x2_scalar(const float* A, std::size_t lda, const float* B,
+                         std::size_t ldb, float* C, std::size_t ldc, int mr,
+                         int nr, int k) {
+  float acc[kDR][kDC][kDL] = {};
+  int kk = 0;
+  for (; kk + kDL <= k; kk += kDL) {
+    for (int r = 0; r < mr; ++r) {
+      const float* a = A + static_cast<std::size_t>(r) * lda + kk;
+      for (int c = 0; c < nr; ++c) {
+        const float* b = B + static_cast<std::size_t>(c) * ldb + kk;
+        for (int l = 0; l < kDL; ++l) acc[r][c][l] += a[l] * b[l];
+      }
+    }
+  }
+  for (int r = 0; r < mr; ++r) {
+    for (int c = 0; c < nr; ++c) {
+      float s = 0.0f;
+      for (int l = 0; l < kDL; ++l) s += acc[r][c][l];
+      const float* a = A + static_cast<std::size_t>(r) * lda;
+      const float* b = B + static_cast<std::size_t>(c) * ldb;
+      for (int t = kk; t < k; ++t) s += a[t] * b[t];
+      C[static_cast<std::size_t>(r) * ldc + c] = s;
+    }
+  }
+}
+
 void im2col_row_scalar(const float* src, int H, int W, int oh, int ow,
                        int stride, int pad, int ky, int kx, float* dst) {
   for (int y = 0; y < oh; ++y) {
@@ -194,6 +243,28 @@ void im2col_row_scalar(const float* src, int H, int W, int oh, int ow,
       dst[y * ow + x] =
           (sy >= 0 && sy < H && sx >= 0 && sx < W) ? src[sy * W + sx] : 0.0f;
     }
+  }
+}
+
+// Smallest x >= 0 with x * stride >= a (stride > 0).
+int first_at_least(int a, int stride) {
+  return a <= 0 ? 0 : (a + stride - 1) / stride;
+}
+
+// Row-wise scatter: the in-bounds outputs of (ky, kx) form one window
+// [y_lo, y_hi) x [x_lo, x_hi), added through contiguous (stride 1) or evenly
+// strided image rows with no per-element bounds test.
+void col2im_row_scalar(const float* src, int H, int W, int oh, int ow,
+                       int stride, int pad, int ky, int kx, float* dst) {
+  const int y_lo = first_at_least(pad - ky, stride);
+  const int y_hi = std::min(oh, first_at_least(H + pad - ky, stride));
+  const int x_lo = first_at_least(pad - kx, stride);
+  const int x_hi = std::min(ow, first_at_least(W + pad - kx, stride));
+  const int len = x_hi - x_lo;
+  for (int y = y_lo; y < y_hi && len > 0; ++y) {
+    const float* s = src + y * ow + x_lo;
+    float* d = dst + (y * stride + ky - pad) * W + (x_lo * stride + kx - pad);
+    for (int i = 0; i < len; ++i) d[i * stride] += s[i];
   }
 }
 
@@ -246,7 +317,10 @@ KernelTable make_scalar_table() noexcept {
   t.quantize_block = &quantize_block_scalar;
   t.dequantize_block = &dequantize_block_scalar;
   t.gemm_tile_6x16 = &gemm_tile_6x16_scalar;
+  t.gemm_edge_rows = &gemm_edge_rows_scalar;
+  t.dot_tile_4x2 = &dot_tile_4x2_scalar;
   t.im2col_row = &im2col_row_scalar;
+  t.col2im_row = &col2im_row_scalar;
   t.yuv_to_rgb_row = &yuv_to_rgb_row_scalar;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_scalar;
   t.chroma_box_row = &chroma_box_row_scalar;

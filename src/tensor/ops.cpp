@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "simd/dispatch.hpp"
 #include "util/alloc_check.hpp"
@@ -16,6 +17,17 @@ void require_same(const Tensor& a, const Tensor& b, const char* what) {
   if (!a.same_shape(b)) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
     throw std::invalid_argument(std::string(what) + ": shape mismatch");
+  }
+}
+
+// Item index n of an NCHW tensor: kernels that address item n through raw
+// pointers would otherwise read or write past the tensor.
+void require_item(const Tensor& t, int n, const char* what) {
+  if (n < 0 || n >= t.dim(0)) {
+    AllocAllowScope allow;
+    throw std::invalid_argument(std::string(what) + ": item index " +
+                                std::to_string(n) + " out of range for batch " +
+                                std::to_string(t.dim(0)));
   }
 }
 
@@ -48,12 +60,14 @@ constexpr int kNR = 16;   // register tile columns (two AVX2 vectors)
 constexpr int kKC = 256;  // k block: A panel kMR*kKC floats stays in L1
 constexpr int kNC = 512;  // column block: B panel kKC*kNC floats stays in L2
 
-// The kMR x kNR register micro-kernel lives in src/simd/ (gemm_tile_6x16):
-// scalar reference in kernels_scalar.cpp, AVX2 replay pinned bitwise against
-// it. gemm_strided resolves the active backend once, outside the parallel
+// The kMR x kNR register micro-kernel and its edge-row twin for fewer than
+// kMR rows live in src/simd/ (gemm_tile_6x16, gemm_edge_rows): scalar
+// references in kernels_scalar.cpp, AVX2 replays pinned bitwise against
+// them. gemm_strided resolves the active backend once, outside the parallel
 // region, so a bad DCSR_SIMD surfaces as an exception on the calling thread.
 
-// Edge tile with runtime extents; accumulates straight into C.
+// Column-edge tile (fewer than kNR columns) with runtime extents; the same
+// per-element k order as both register tiles, accumulating straight into C.
 void micro_tile_any(const float* A, std::size_t a_rs, std::size_t a_ks,
                     const float* B, std::size_t ldb, float* C, std::size_t ldc,
                     int mr, int nr, int kn) {
@@ -98,9 +112,13 @@ void gemm_strided(const float* A, std::size_t a_rs, std::size_t a_ks,
                             static_cast<std::size_t>(kc) * a_ks;
           float* Cp = C + static_cast<std::size_t>(i) * ldc + jc;
           int j = 0;
-          if (mr == kMR)
+          if (mr == kMR) {
             for (; j + kNR <= jn; j += kNR)
               kt.gemm_tile_6x16(Ap, a_rs, a_ks, Bp + j, ldb, Cp + j, ldc, kn);
+          } else if (jn >= kNR) {
+            j = jn - jn % kNR;
+            kt.gemm_edge_rows(Ap, a_rs, a_ks, Bp, ldb, Cp, ldc, mr, j, kn);
+          }
           if (j < jn)
             micro_tile_any(Ap, a_rs, a_ks, Bp + j, ldb, Cp + j, ldc, mr, jn - j, kn);
         }
@@ -126,37 +144,11 @@ void gemm_strided(const float* A, std::size_t a_rs, std::size_t a_ks,
   }, "tensor/ops.cpp:gemm_strided");
 }
 
-// Dot-product tile for matmul_nt: kDR rows of A against kDC rows of B, each
-// accumulated over kDL independent lanes along k so the compiler can
-// vectorise without reassociating a single serial sum.
+// matmul_nt tiles kDR rows of A against kDC rows of B; the tile kernel
+// (dot_tile_4x2 in src/simd/, definition in kernels.hpp) accumulates each
+// dot product over 8 independent lanes along k.
 constexpr int kDR = 4;  // A rows per tile
 constexpr int kDC = 2;  // B rows per tile
-constexpr int kDL = 8;  // accumulation lanes (one AVX2 vector)
-
-void dot_tile(const float* A, std::size_t lda, const float* B, std::size_t ldb,
-              float* C, std::size_t ldc, int mr, int nr, int k) {
-  float acc[kDR][kDC][kDL] = {};
-  int kk = 0;
-  for (; kk + kDL <= k; kk += kDL) {
-    for (int r = 0; r < mr; ++r) {
-      const float* a = A + static_cast<std::size_t>(r) * lda + kk;
-      for (int c = 0; c < nr; ++c) {
-        const float* b = B + static_cast<std::size_t>(c) * ldb + kk;
-        for (int l = 0; l < kDL; ++l) acc[r][c][l] += a[l] * b[l];
-      }
-    }
-  }
-  for (int r = 0; r < mr; ++r) {
-    for (int c = 0; c < nr; ++c) {
-      float s = 0.0f;
-      for (int l = 0; l < kDL; ++l) s += acc[r][c][l];
-      const float* a = A + static_cast<std::size_t>(r) * lda;
-      const float* b = B + static_cast<std::size_t>(c) * ldb;
-      for (int t = kk; t < k; ++t) s += a[t] * b[t];
-      C[static_cast<std::size_t>(r) * ldc + c] = s;
-    }
-  }
-}
 
 }  // namespace
 
@@ -259,6 +251,7 @@ void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out) {
   const float* A = a.data;
   const float* B = b.data;
   float* C = out.data();
+  const simd::KernelTable& kt = simd::active();
   const std::int64_t flops_per_row = 2LL * k * n;
   const std::int64_t grain =
       std::max<std::int64_t>(kDR, (1LL << 20) / std::max<std::int64_t>(1, flops_per_row) + 1);
@@ -274,9 +267,10 @@ void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out) {
       float* Cp = C + static_cast<std::size_t>(i) * n;
       for (int j = 0; j < n; j += kDC) {
         const int nr = std::min(kDC, n - j);
-        dot_tile(Ap, static_cast<std::size_t>(k),
-                 B + static_cast<std::size_t>(j) * k, static_cast<std::size_t>(k),
-                 Cp + j, static_cast<std::size_t>(n), mr, nr, k);
+        kt.dot_tile_4x2(Ap, static_cast<std::size_t>(k),
+                        B + static_cast<std::size_t>(j) * k,
+                        static_cast<std::size_t>(k), Cp + j,
+                        static_cast<std::size_t>(n), mr, nr, k);
       }
     }
   }, "tensor/ops.cpp:matmul_nt");
@@ -400,6 +394,7 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
     AllocAllowScope allow;  // error path may run under a hot-path guard
     throw std::invalid_argument("im2col: expected NCHW input");
   }
+  require_item(input, n, "im2col_into");
   const int C = input.dim(1), H = input.dim(2), W = input.dim(3);
   const int oh = conv_out_size(H, kernel, stride, pad);
   const int ow = conv_out_size(W, kernel, stride, pad);
@@ -435,30 +430,29 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
 
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
                 int pad) {
-  if (out.rank() != 4) throw std::invalid_argument("col2im_add: expected NCHW output");
+  if (out.rank() != 4) {
+    AllocAllowScope allow;  // error path may run under a hot-path guard
+    throw std::invalid_argument("col2im_add: expected NCHW output");
+  }
+  require_item(out, n, "col2im_add");
   const int C = out.dim(1), H = out.dim(2), W = out.dim(3);
   const int oh = conv_out_size(H, kernel, stride, pad);
   const int ow = conv_out_size(W, kernel, stride, pad);
-  if (cols.dim(0) != C * kernel * kernel || cols.dim(1) != oh * ow)
+  if (cols.rank() != 2 || cols.dim(0) != C * kernel * kernel ||
+      cols.dim(1) != oh * ow) {
+    AllocAllowScope allow;
     throw std::invalid_argument("col2im_add: column shape mismatch");
-  const float* src = cols.data();
-  for (int c = 0; c < C; ++c) {
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        const int row = (c * kernel + ky) * kernel + kx;
-        const float* s = src + static_cast<std::size_t>(row) * oh * ow;
-        for (int y = 0; y < oh; ++y) {
-          const int sy = y * stride + ky - pad;
-          if (sy < 0 || sy >= H) continue;
-          for (int x = 0; x < ow; ++x) {
-            const int sx = x * stride + kx - pad;
-            if (sx < 0 || sx >= W) continue;
-            out.at(n, c, sy, sx) += s[y * ow + x];
-          }
-        }
-      }
-    }
   }
+  const float* src = cols.data();
+  float* img = out.data() + static_cast<std::size_t>(n) * C * H * W;
+  const simd::KernelTable& kt = simd::active();
+  // One column-matrix row per (c, ky, kx), in that order, so every image
+  // element receives its contributions in (c, ky, kx) order.
+  for (int c = 0; c < C; ++c)
+    for (int k = 0; k < kernel * kernel; ++k)
+      kt.col2im_row(src + static_cast<std::size_t>(c * kernel * kernel + k) * oh * ow,
+                    H, W, oh, ow, stride, pad, k / kernel, k % kernel,
+                    img + static_cast<std::size_t>(c) * H * W);
 }
 
 double sum(const Tensor& a) noexcept {

@@ -48,9 +48,10 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Matrix product with the second operand transposed: a(m x k) * bT(n x k).
-/// Lane-parallel dot-product kernel; deterministic for a fixed shape but the
-/// accumulation order differs from the naive reference (compare with a
-/// tolerance, not bitwise).
+/// Lane-parallel dot-product kernel (each dot product accumulates over 8
+/// lanes along k, see simd::KernelTable::dot_tile_4x2); deterministic for a
+/// fixed shape, but the accumulation order differs from the naive reference
+/// (compare the naive one with a tolerance, not bitwise).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// `*_into` variants of the three products: identical kernels and float
@@ -94,11 +95,16 @@ Tensor im2col(const Tensor& input, int n, int kernel, int stride, int pad);
 
 /// im2col into a caller-owned column matrix of shape (C*k*k) x (outH*outW).
 /// Lets inference loops reuse one scratch allocation across batch items.
+/// Throws std::invalid_argument unless `input` is 4-D, 0 <= n < N and
+/// `cols` is 2-D of exactly that shape.
 void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
                  Tensor& cols);
 
 /// Adjoint of im2col: scatter-adds columns back into a C x H x W gradient
 /// image (written into the n-th item of `out`, which must be pre-shaped).
+/// Each image element receives its contributions in (c, ky, kx) order.
+/// Throws std::invalid_argument unless `out` is 4-D, 0 <= n < N and `cols`
+/// is 2-D of shape (C*k*k) x (outH*outW).
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
                 int pad);
 

@@ -109,8 +109,10 @@ TEST(Simd, ScopedSwapChangesAndRestoresActiveBackend) {
 TEST(Simd, ReportNamesActiveBackendAndEveryFamily) {
   const std::string r = simd::report();
   EXPECT_NE(r.find("dcsr-simd: backend="), std::string::npos) << r;
-  for (const char* fam : {"dct=", "idct=", "dequant_idct=", "quant=",
-                          "gemm=", "im2col=", "yuv2rgb=", "mc="})
+  for (const char* fam : {" dct=", " idct=", " dequant_idct=", " quant=",
+                          " dequant=", " gemm=", " im2col=", " yuv2rgb=",
+                          " rgb2yuv=", " mc=", " gemm_edge=", " dot=",
+                          " col2im="})
     EXPECT_NE(r.find(fam), std::string::npos) << r;
 }
 
@@ -121,10 +123,20 @@ TEST(Simd, EveryFamilyOriginIsInstalled) {
       // Origins are real backends, and never "faster" than the table's own
       // id (a scalar table must not claim avx2 kernels).
       EXPECT_NE(simd::family_name(f), nullptr);
+      EXPECT_STRNE(simd::family_name(f), "?") << f;
       if (b == Backend::kScalar) {
         EXPECT_EQ(t->origin[f], Backend::kScalar) << simd::family_name(f);
       }
     }
+    EXPECT_NE(t->gemm_edge_rows, nullptr) << simd::backend_name(b);
+    EXPECT_NE(t->col2im_row, nullptr) << simd::backend_name(b);
+    EXPECT_NE(t->dot_tile_4x2, nullptr) << simd::backend_name(b);
+    // The GEMM edge rows and the dot tile are FMA chains like the 6x16
+    // tile, so a backend installs all three under the same gate or none.
+    EXPECT_EQ(t->origin[simd::kFamGemmEdge], t->origin[simd::kFamGemm])
+        << simd::backend_name(b);
+    EXPECT_EQ(t->origin[simd::kFamDot], t->origin[simd::kFamGemm])
+        << simd::backend_name(b);
   }
 }
 
@@ -281,6 +293,75 @@ TEST(Simd, GemmTileSeededSweepBitwise) {
   }
 }
 
+// GEMM edge rows: 1..5 rows of 16 to 80 columns, both A layouts, C
+// accumulated from non-zero contents.
+TEST(Simd, GemmEdgeRowsSeededSweepBitwise) {
+  const auto& sc = simd::scalar_table();
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  for (int it = 0; it < 300; ++it) {
+    const int mr = 1 + it % 5;
+    const int nc = 16 * (1 + static_cast<int>(rng() % 5));
+    const int kn = 1 + static_cast<int>(rng() % 300);
+    const std::size_t ldb = static_cast<std::size_t>(nc) + (rng() % 3) * 8;
+    const std::size_t ldc = static_cast<std::size_t>(nc) + (rng() % 3) * 8;
+    const bool tn = (it / 5) % 2 != 0;
+    const std::size_t a_rs = tn ? 1 : static_cast<std::size_t>(kn);
+    const std::size_t a_ks = tn ? static_cast<std::size_t>(mr) : 1;
+    std::vector<float> A(static_cast<std::size_t>(mr) * kn);
+    std::vector<float> B(static_cast<std::size_t>(kn) * ldb);
+    std::vector<float> C0(static_cast<std::size_t>(mr) * ldc);
+    for (auto& v : A) v = dist(rng);
+    for (auto& v : B) v = dist(rng);
+    for (auto& v : C0) v = dist(rng);
+    const std::vector<float> C1(C0);
+    sc.gemm_edge_rows(A.data(), a_rs, a_ks, B.data(), ldb, C0.data(), ldc, mr,
+                      nc, kn);
+    for (Backend b : simd_backends()) {
+      std::vector<float> C2(C1);
+      simd::table_for(b)->gemm_edge_rows(A.data(), a_rs, a_ks, B.data(), ldb,
+                                         C2.data(), ldc, mr, nc, kn);
+      ASSERT_TRUE(BitsEq(C0.data(), C2.data(), C0.size(), "gemm_edge_rows", b))
+          << "mr=" << mr << " nc=" << nc << " kn=" << kn;
+    }
+  }
+}
+
+// Dot tile of matmul_nt: every (mr, nr) edge shape, k below, at and above
+// the 8-lane width with and without a tail, strided rows. Only the mr x nr
+// outputs may be written.
+TEST(Simd, DotTileSeededSweepBitwise) {
+  const auto& sc = simd::scalar_table();
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  for (int it = 0; it < 400; ++it) {
+    const int mr = 1 + it % 4;
+    const int nr = 1 + (it / 4) % 2;
+    const int k = it < 80 ? 1 + it % 20 : 1 + static_cast<int>(rng() % 700);
+    const std::size_t lda = static_cast<std::size_t>(k) + rng() % 5;
+    const std::size_t ldb = static_cast<std::size_t>(k) + rng() % 5;
+    const std::size_t ldc = 2 + rng() % 3;
+    std::vector<float> A(static_cast<std::size_t>(mr) * lda);
+    std::vector<float> B(static_cast<std::size_t>(nr) * ldb);
+    for (auto& v : A) v = dist(rng);
+    for (auto& v : B) v = dist(rng);
+    std::vector<float> C0(4 * ldc, -7.0f);
+    sc.dot_tile_4x2(A.data(), lda, B.data(), ldb, C0.data(), ldc, mr, nr, k);
+    for (std::size_t i = 0; i < C0.size(); ++i) {
+      if (static_cast<int>(i / ldc) >= mr || static_cast<int>(i % ldc) >= nr) {
+        ASSERT_EQ(C0[i], -7.0f) << "oracle wrote outside its tile at " << i;
+      }
+    }
+    for (Backend b : simd_backends()) {
+      std::vector<float> C2(4 * ldc, -7.0f);
+      simd::table_for(b)->dot_tile_4x2(A.data(), lda, B.data(), ldb, C2.data(),
+                                       ldc, mr, nr, k);
+      ASSERT_TRUE(BitsEq(C0.data(), C2.data(), C0.size(), "dot_tile_4x2", b))
+          << "mr=" << mr << " nr=" << nr << " k=" << k;
+    }
+  }
+}
+
 // --- im2col rows: odd sizes, strides, padding -------------------------------
 
 TEST(Simd, Im2colRowOddSizesBitwise) {
@@ -309,6 +390,43 @@ TEST(Simd, Im2colRowOddSizesBitwise) {
                                                  got.data());
                   ASSERT_TRUE(BitsEq(ref.data(), got.data(), ref.size(),
                                      "im2col_row", b))
+                      << "H=" << H << " W=" << W << " k=" << kern
+                      << " s=" << stride << " p=" << pad;
+                }
+              }
+          }
+}
+
+// col2im rows: the adjoint scatter over the same sizes, added into non-zero
+// planes.
+TEST(Simd, Col2imRowSeededSweepBitwise) {
+  const auto& sc = simd::scalar_table();
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  for (int H : {1, 3, 7, 16, 33})
+    for (int W : {1, 5, 8, 17, 40})
+      for (int kern : {1, 3, 5})
+        for (int stride : {1, 2})
+          for (int pad : {0, kern / 2, kern - 1}) {
+            const int oh = (H + 2 * pad - kern) / stride + 1;
+            const int ow = (W + 2 * pad - kern) / stride + 1;
+            if (oh <= 0 || ow <= 0) continue;
+            std::vector<float> src(static_cast<std::size_t>(oh) * ow);
+            std::vector<float> plane(static_cast<std::size_t>(H) * W);
+            for (auto& v : src) v = dist(rng);
+            for (auto& v : plane) v = dist(rng);
+            for (int ky = 0; ky < kern; ++ky)
+              for (int kx = 0; kx < kern; ++kx) {
+                std::vector<float> ref(plane);
+                sc.col2im_row(src.data(), H, W, oh, ow, stride, pad, ky, kx,
+                              ref.data());
+                for (Backend b : simd_backends()) {
+                  std::vector<float> got(plane);
+                  simd::table_for(b)->col2im_row(src.data(), H, W, oh, ow,
+                                                 stride, pad, ky, kx,
+                                                 got.data());
+                  ASSERT_TRUE(BitsEq(ref.data(), got.data(), ref.size(),
+                                     "col2im_row", b))
                       << "H=" << H << " W=" << W << " k=" << kern
                       << " s=" << stride << " p=" << pad;
                 }

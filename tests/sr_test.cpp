@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "codec/bits.hpp"
+#include "codec/container.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
+#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "image/resize.hpp"
@@ -270,6 +272,50 @@ TEST(Trainer, BitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.loss_curve.size(), threaded.loss_curve.size());
   for (std::size_t i = 0; i < serial.loss_curve.size(); ++i)
     EXPECT_EQ(serial.loss_curve[i], threaded.loss_curve[i]) << "iteration " << i;
+}
+
+TEST(Trainer, Scale2TrainingBytesPinnedAcrossThreadCounts) {
+  // A scale-2 micro model reaches the kernels a scale-1 run never does: the
+  // upsampler conv (32 output channels, so GEMM row tiles of 6 plus an edge
+  // of 2), PixelShuffle's backward and the bilinear input path. Its trained
+  // weights must not change with the thread count, and must reproduce the
+  // bytes of the element-wise col2im and scalar weight-gradient kernels
+  // (the pinned CRC).
+  const int saved_threads = default_thread_count();
+  const auto train_once = [](int threads) {
+    set_default_pool_threads(threads);
+    Rng rng(91);
+    TrainSample pair;
+    pair.hi = textured_frame(48, 48, 92);
+    pair.lo = resize(pair.hi, 24, 24);
+    Edsr model({.n_filters = 8, .n_resblocks = 2, .scale = 2}, rng);
+    TrainOptions opts;
+    opts.iterations = 30;
+    opts.patch_size = 12;
+    opts.batch_size = 2;
+    opts.lr = 1e-3;
+    train_sr_model(model, {pair}, opts, rng);
+    ByteWriter w;
+    nn::save_params(model, w);
+    return w.bytes();
+  };
+  const std::vector<std::uint8_t> serial = train_once(1);
+  const std::vector<std::uint8_t> threaded = train_once(4);
+  set_default_pool_threads(saved_threads);
+  EXPECT_EQ(serial, threaded);
+#if DCSR_FP_EXACT_BUILD
+  // Both values were recorded before col2im, the weight-gradient dot tile
+  // and the GEMM edge rows were vectorised. A checked build's
+  // bounds-checked accessors change how GCC contracts part of the scale-2
+  // path into FMAs, so it trains to other bytes: build flags moving the
+  // arithmetic is an open defect, and until it is fixed each configuration
+  // holds its own value.
+#if defined(DCSR_CHECKED) && DCSR_CHECKED
+  EXPECT_EQ(codec::crc32(serial.data(), serial.size()), 0x949fc3aeu);
+#else
+  EXPECT_EQ(codec::crc32(serial.data(), serial.size()), 0x4f0ac194u);
+#endif
+#endif
 }
 
 TEST(Edsr, InferMatchesForwardBitwise) {

@@ -172,6 +172,134 @@ TEST(Ops, BlockedKernelsMatchNaiveReferences) {
   }
 }
 
+std::uint32_t float_bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+// matmul_nt from the definition of its dot tile: each dot product
+// accumulates a[t]*b[t] over 8 lanes (lane l takes t = l, l+8, ... below the
+// last multiple of 8), sums the lanes in order from 0, then adds the tail.
+// The kernels' `acc += a * b` steps are fused multiply-adds whenever the
+// build targets FMA, so the reference spells them out the same way.
+float fused_madd(float a, float b, float acc) {
+#if defined(__FMA__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+Tensor matmul_nt_eight_lane(const Tensor& a, const Tensor& b) {
+  const int m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  const int k8 = k - k % 8;
+  Tensor out({m, n});
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j) {
+      float lanes[8] = {};
+      for (int t = 0; t < k8; ++t)
+        lanes[t % 8] = fused_madd(a.at(i, t), b.at(j, t), lanes[t % 8]);
+      float s = 0.0f;
+      for (const float l : lanes) s += l;
+      for (int t = k8; t < k; ++t) s = fused_madd(a.at(i, t), b.at(j, t), s);
+      out.at(i, j) = s;
+    }
+  return out;
+}
+
+TEST(Ops, MatmulNtMatchesEightLaneDefinitionBitwise) {
+  Rng rng(72);
+  // The shapes of BlockedKernelsMatchNaiveReferences, then the conv weight
+  // gradients of the micro model on a 24x24 patch (dY * cols^T).
+  const int shapes[][3] = {{1, 1, 1},     {1, 8, 5},      {7, 1, 9},
+                           {5, 9, 1},     {1, 64, 1},     {33, 17, 65},
+                           {64, 64, 64},  {129, 31, 257}, {6, 300, 16},
+                           {8, 72, 100},  {8, 576, 72},   {3, 576, 72},
+                           {8, 576, 27}};
+  for (const auto& s : shapes) {
+    const int m = s[0], k = s[1], n = s[2];
+    SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+    const Tensor a = Tensor::randn({m, k}, rng);
+    const Tensor bt = Tensor::randn({n, k}, rng);
+    const Tensor got = matmul_nt(a, bt);
+    const Tensor want = matmul_nt_eight_lane(a, bt);
+    ASSERT_TRUE(got.same_shape(want));
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(float_bits(got[i]), float_bits(want[i])) << "element " << i;
+  }
+}
+
+// col2im_add as the element-wise scatter it replaced: every column entry
+// whose source pixel is inside the image, in (c, ky, kx, y, x) order.
+void col2im_elementwise(const Tensor& cols, Tensor& out, int n, int kernel,
+                        int stride, int pad) {
+  const int C = out.dim(1), H = out.dim(2), W = out.dim(3);
+  const int oh = conv_out_size(H, kernel, stride, pad);
+  const int ow = conv_out_size(W, kernel, stride, pad);
+  for (int c = 0; c < C; ++c)
+    for (int ky = 0; ky < kernel; ++ky)
+      for (int kx = 0; kx < kernel; ++kx) {
+        const int row = (c * kernel + ky) * kernel + kx;
+        for (int y = 0; y < oh; ++y) {
+          const int sy = y * stride + ky - pad;
+          if (sy < 0 || sy >= H) continue;
+          for (int x = 0; x < ow; ++x) {
+            const int sx = x * stride + kx - pad;
+            if (sx < 0 || sx >= W) continue;
+            out.at(n, c, sy, sx) += cols.at(row, y * ow + x);
+          }
+        }
+      }
+}
+
+TEST(Ops, Col2imMatchesElementwiseScatterBitwise) {
+  Rng rng(74);
+  for (const int kernel : {1, 3, 5})
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1, 2})
+        for (const auto& hw : {std::array<int, 2>{5, 7}, std::array<int, 2>{9, 3},
+                               std::array<int, 2>{11, 13}}) {
+          const int H = hw[0], W = hw[1];
+          const int oh = conv_out_size(H, kernel, stride, pad);
+          const int ow = conv_out_size(W, kernel, stride, pad);
+          if (oh <= 0 || ow <= 0) continue;
+          SCOPED_TRACE(testing::Message() << "k=" << kernel << " s=" << stride
+                                          << " p=" << pad << " " << H << "x" << W);
+          const Tensor cols = Tensor::randn({3 * kernel * kernel, oh * ow}, rng);
+          // Item 1 of 2, over non-zero contents: the scatter accumulates.
+          const Tensor start = Tensor::randn({2, 3, H, W}, rng);
+          Tensor got = start, want = start;
+          col2im_add(cols, got, 1, kernel, stride, pad);
+          col2im_elementwise(cols, want, 1, kernel, stride, pad);
+          for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(float_bits(got[i]), float_bits(want[i])) << "element " << i;
+        }
+}
+
+TEST(Ops, Im2colAndCol2imRejectBadItemIndexAndRank) {
+  const Tensor x({2, 3, 6, 6});
+  Tensor cols({27, 36});
+  for (const int n : {-1, 2, 100}) {
+    EXPECT_THROW(im2col_into(x, n, 3, 1, 1, cols), std::invalid_argument) << n;
+    EXPECT_THROW(im2col(x, n, 3, 1, 1), std::invalid_argument) << n;
+    Tensor out({2, 3, 6, 6});
+    EXPECT_THROW(col2im_add(cols, out, n, 3, 1, 1), std::invalid_argument) << n;
+  }
+  // Columns that are not 2-D, even with the right element count.
+  Tensor out({2, 3, 6, 6});
+  Tensor flat({27 * 36});
+  Tensor cube({27, 6, 6});
+  EXPECT_THROW(im2col_into(x, 0, 3, 1, 1, flat), std::invalid_argument);
+  EXPECT_THROW(im2col_into(x, 0, 3, 1, 1, cube), std::invalid_argument);
+  EXPECT_THROW(col2im_add(flat, out, 0, 3, 1, 1), std::invalid_argument);
+  EXPECT_THROW(col2im_add(cube, out, 0, 3, 1, 1), std::invalid_argument);
+  // An image that is not NCHW.
+  Tensor plane({3, 36});
+  EXPECT_THROW(col2im_add(cols, plane, 0, 3, 1, 1), std::invalid_argument);
+  EXPECT_THROW(im2col_into(plane, 0, 3, 1, 1, cols), std::invalid_argument);
+}
+
 TEST(Ops, MatmulResultsInvariantToThreadCount) {
   const int saved = default_thread_count();
   Rng rng(73);
