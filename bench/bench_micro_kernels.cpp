@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "codec/bits.hpp"
 #include "codec/block_coder.hpp"
@@ -346,6 +348,37 @@ void BM_PlayNasThreads(benchmark::State& state) {
   set_default_pool_threads(dflt);
 }
 BENCHMARK(BM_PlayNasThreads)->Arg(1)->Arg(sweep_threads());
+
+// End-to-end dcSR playback (segment-parallel decode + in-loop SR + metrics)
+// on a quickstart-sized clip cut into eight segments that alternate between
+// two micro models, across pool sizes 1, 2, 4, ... up to sweep_threads().
+void BM_PlayDcsrThreads(benchmark::State& state) {
+  const int dflt = base_threads();
+  static const auto video =
+      make_genre_video(Genre::kNews, 5, 96, 64, 8.0, 10.0);
+  static const codec::EncodedVideo encoded = [] {
+    codec::CodecConfig cfg;
+    std::vector<codec::SegmentPlan> plans;
+    for (int start = 0; start < video->frame_count(); start += 10)
+      plans.push_back({start, 10});
+    return codec::Encoder(cfg).encode(*video, plans);
+  }();
+  Rng rng(6);
+  std::vector<std::unique_ptr<sr::Edsr>> models;
+  for (int m = 0; m < 2; ++m)
+    models.push_back(std::make_unique<sr::Edsr>(
+        sr::EdsrConfig{.n_filters = 8, .n_resblocks = 2, .scale = 1}, rng));
+  std::vector<int> labels;
+  for (std::size_t s = 0; s < encoded.segments.size(); ++s)
+    labels.push_back(static_cast<int>(s % 2));
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        core::play_dcsr(encoded, labels, models, *video));
+  set_default_pool_threads(dflt);
+  state.SetItemsProcessed(state.iterations() * video->frame_count());
+}
+BENCHMARK(BM_PlayDcsrThreads)->RangeMultiplier(2)->Range(1, sweep_threads());
 
 // Slice-parallel frame decode across pool sizes. The same segment is encoded
 // once at the sliced format's default experiment shape (4 MB-row slices) and

@@ -1,9 +1,7 @@
 #include "core/client_pipeline.hpp"
 
-#include <array>
-#include <functional>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
@@ -16,10 +14,10 @@ namespace dcsr::core {
 namespace {
 
 // Runs `fn` under a hot-path guard once playback is past its warm-up
-// segment: segment 0 legitimately grows frame slots, workspace tensors and
-// pool scratch, but every later segment of the same resolution must be
-// heap-silent (sanctioned growth aside), and the guard makes a regression
-// throw instead of silently costing a malloc per frame.
+// segment: the first segment a thread plays legitimately grows frame slots,
+// workspace tensors and pool scratch, but every later segment of the same
+// resolution must be heap-silent (sanctioned growth aside), and the guard
+// makes a regression throw instead of silently costing a malloc per frame.
 template <typename Fn>
 void guarded_after_warmup(bool warm, const char* site, Fn&& fn) {
   if (warm) {
@@ -30,148 +28,159 @@ void guarded_after_warmup(bool warm, const char* site, Fn&& fn) {
   }
 }
 
-// Converts a decoded segment to RGB with one task per frame, writing into a
-// caller-owned vector: warm slots keep their plane buffers, so converting
-// segment after segment of the same resolution stops touching the
-// allocator. Conversion is pure per-frame work, so it overlaps freely; the
-// metric accumulation that follows stays serial and in display order.
-void convert_segment_into(const std::vector<FrameYUV>& frames,
-                          std::vector<FrameRGB>& rgb) {
-  rgb.resize(frames.size());
-  // Each chunk owns the FrameRGB slots [lo, hi) it converts into.
-  parallel_for_writes(
-      0, static_cast<std::int64_t>(frames.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return span_of(rgb.data() + lo, static_cast<std::size_t>(hi - lo));
-      },
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i)
-          yuv420_to_rgb_into(frames[static_cast<std::size_t>(i)],
-                             rgb[static_cast<std::size_t>(i)]);
-      },
-      "core/client_pipeline.cpp:convert_segment");
-}
-
-// Accumulates per-frame metrics against the pristine source. Strides are
-// keyed off the *display index*, never off how many frames a playback path
-// happened to visit: every method must evaluate SSIM on the same frames or
-// the Fig. 9 comparison is apples to oranges.
-class MetricsCollector {
- public:
-  MetricsCollector(const VideoSource& original, const PlaybackOptions& opts)
-      : original_(original), opts_(opts) {}
-
-  void measure_rgb(const FrameRGB& rgb, int display_index) {
-    const FrameRGB ref = original_.frame(display_index);
-    result_.frame_psnr.push_back(psnr(ref, rgb));
-    result_.psnr_frame_index.push_back(display_index);
-    if (display_index % opts_.ssim_stride == 0) {
-      result_.frame_ssim.push_back(ssim(ref, rgb));
-      result_.ssim_frame_index.push_back(display_index);
-    }
-  }
-
-  PlaybackResult finish() {
-    result_.mean_psnr = mean(result_.frame_psnr);
-    result_.mean_ssim = mean(result_.frame_ssim);
-    return std::move(result_);
-  }
-
- private:
-  const VideoSource& original_;
-  PlaybackOptions opts_;
-  PlaybackResult result_;
+// Quality of one display frame. Playback fills one slot per frame from
+// whichever thread decoded it; `inferences` counts the in-loop SR calls
+// spent on that frame's reference picture.
+struct FrameQuality {
+  double psnr = 0.0;
+  double ssim = 0.0;
+  int inferences = 0;
 };
 
-// Runs `produce(s)` for each segment index with one segment of lookahead:
-// while segment s's frames flow through `consume` (serial, display order —
-// the metric path), segment s+1 already decodes, enhances its I frame and
-// converts to RGB on the producer thread. Exactly one producer task is in
-// flight at a time, so producers may share decoder state without locking;
-// consumption order — and therefore every accumulated metric — is identical
-// to the serial program.
-//
-// All lookahead work runs on ONE persistent PipelineThread for the whole
-// playback. std::async handed every segment to a fresh thread, so the
-// producer's thread-local Workspace arena started cold each segment and the
-// steady-state zero-miss guarantee stopped at segment boundaries (the PR-4
-// caveat); with a persistent thread the arena warms once and every later
-// segment of the same resolution replays out of cache.
-template <typename T, typename Produce, typename Consume>
-void pipeline_segments(std::size_t count, Produce produce, Consume consume) {
-  if (count == 0) return;
-  std::size_t next_index = 0;
-  T next_result{};
-  // Named lambda, alive for the whole playback: PipelineThread::run takes a
-  // non-owning FunctionRef, so the callable must outlive every run/wait pair.
-  const auto task = [&] { next_result = produce(next_index); };
-  // Declared AFTER everything the worker touches: if `consume` throws while a
-  // lookahead task is in flight, unwinding must run ~PipelineThread (which
-  // finishes the task and joins) before `task`/`next_result`/`next_index` die.
-  PipelineThread producer;
-  for (std::size_t s = 0; s < count; ++s) {
-    T current{};
-    if (s == 0) {
-      current = produce(0);
-    } else {
-      producer.wait();
-      current = std::move(next_result);
-    }
-    if (s + 1 < count) {
-      next_index = s + 1;
-      producer.run(task);
-    }
-    consume(std::move(current), s);
-  }
+// Measures one frame against the pristine source. Strides are keyed off the
+// *display index*, never off how many frames a playback path happened to
+// visit: every method must evaluate SSIM on the same frames or the Fig. 9
+// comparison is apples to oranges.
+void measure_frame(const VideoSource& original, const PlaybackOptions& opts,
+                   const FrameRGB& rgb, int display, FrameQuality& q) {
+  const FrameRGB ref = original.frame(display);
+  q.psnr = psnr(ref, rgb);
+  if (display % opts.ssim_stride == 0) q.ssim = ssim(ref, rgb);
 }
 
-// Decodes every segment with the given reference hook and feeds all display
-// frames to the collector.
-PlaybackResult decode_and_measure(const codec::EncodedVideo& encoded,
-                                  const VideoSource& original,
-                                  const PlaybackOptions& opts,
-                                  const std::function<void(FrameYUV&, int segment)>& enhance_i) {
-  MetricsCollector collector(original, opts);
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
-  // Two rotating segment buffers: produce(s) refills buffer s%2 while the
-  // consumer still reads s-1's (the other one), so the single-lookahead
-  // pipeline reuses the same frame storage for the whole playback instead of
-  // allocating a fresh vector per segment.
-  std::array<std::vector<FrameRGB>, 2> rgb_bufs;
-  const auto produce = [&](std::size_t s) {
-    if (enhance_i) {
-      decoder.set_reference_hook([&enhance_i, s](FrameYUV& f, codec::FrameType,
-                                                 int) {
-        enhance_i(f, static_cast<int>(s));
-      });
+// Collects every `stride`-th display frame's slot into a PlaybackResult,
+// serially and in display order.
+PlaybackResult gather(const std::vector<FrameQuality>& quality,
+                      const PlaybackOptions& opts, int stride) {
+  PlaybackResult r;
+  for (std::size_t d = 0; d < quality.size();
+       d += static_cast<std::size_t>(stride)) {
+    const int display = static_cast<int>(d);
+    r.frame_psnr.push_back(quality[d].psnr);
+    r.psnr_frame_index.push_back(display);
+    if (display % opts.ssim_stride == 0) {
+      r.frame_ssim.push_back(quality[d].ssim);
+      r.ssim_frame_index.push_back(display);
     }
-    std::vector<FrameRGB>& buf = rgb_bufs[s % 2];
-    convert_segment_into(decoder.decode_segment(encoded.segments[s]), buf);
-    return &buf;
+  }
+  r.mean_psnr = mean(r.frame_psnr);
+  r.mean_ssim = mean(r.frame_ssim);
+  return r;
+}
+
+// One model per segment, by cluster label.
+std::vector<const sr::Edsr*> models_by_label(
+    const codec::EncodedVideo& encoded, const std::vector<int>& labels,
+    const std::vector<std::unique_ptr<sr::Edsr>>& models, const char* who) {
+  if (labels.size() != encoded.segments.size())
+    throw std::invalid_argument(std::string(who) +
+                                ": one label per segment required");
+  std::vector<const sr::Edsr*> out;
+  for (const int l : labels) {
+    if (l < 0 || static_cast<std::size_t>(l) >= models.size())
+      throw std::invalid_argument(std::string(who) + ": label out of range");
+    out.push_back(models[static_cast<std::size_t>(l)].get());
+  }
+  return out;
+}
+
+// The in-loop playback driver. `models[s]` enhances segment s's I frames (no
+// models: the stream as-is), and with anchor_period > 0 also each P
+// reference whose index within its segment is a multiple of it.
+//
+// Every segment opens with an I frame, so segments decode independently of
+// one another: one pool region runs over segment indices, and each chunk
+// owns its decoders, one segment's decoded frames and an RGB scratch frame,
+// all warm after its first segment. Per segment a chunk installs the
+// reference hook, decodes, then converts and measures frame by frame into
+// the per-display-frame slots [frame_base[lo], frame_base[hi]) it claims,
+// so no chunk holds more than one segment of pictures. Decode, SR,
+// conversion and metrics are the serial program's arithmetic, and nested
+// regions run inline inside a chunk, so the slots are bit-identical for any
+// DCSR_THREADS.
+std::vector<FrameQuality> play_segments(
+    const codec::EncodedVideo& encoded, const VideoSource& original,
+    const PlaybackOptions& opts, const std::vector<const sr::Edsr*>& models,
+    int anchor_period = 0) {
+  const std::size_t count = encoded.segments.size();
+  std::vector<int> frame_base(count + 1, 0);
+  for (std::size_t s = 0; s < count; ++s)
+    frame_base[s + 1] = frame_base[s] + encoded.segments[s].frame_count();
+  std::vector<FrameQuality> quality(
+      static_cast<std::size_t>(frame_base[count]));
+  const bool anchors = !models.empty() && anchor_period > 0;
+  const auto slots = [&](std::int64_t s) {
+    return quality.data() + frame_base[static_cast<std::size_t>(s)];
   };
-
-  std::vector<int> frame_base(encoded.segments.size(), 0);
-  for (std::size_t s = 1; s < encoded.segments.size(); ++s)
-    frame_base[s] = frame_base[s - 1] +
-                    static_cast<int>(encoded.segments[s - 1].frames.size());
-
-  pipeline_segments<std::vector<FrameRGB>*>(
-      encoded.segments.size(), produce,
-      [&](std::vector<FrameRGB>* rgb, std::size_t s) {
-        for (std::size_t i = 0; i < rgb->size(); ++i)
-          collector.measure_rgb((*rgb)[i], frame_base[s] + static_cast<int>(i));
-      });
-  return collector.finish();
+  parallel_for_writes(
+      0, static_cast<std::int64_t>(count), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(slots(lo),
+                       static_cast<std::size_t>(slots(hi) - slots(lo)));
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
+        codec::Decoder vanilla_decoder(encoded.width, encoded.height,
+                                       encoded.crf);
+        decoder.set_deblock(encoded.deblock);
+        vanilla_decoder.set_deblock(encoded.deblock);
+        std::vector<FrameYUV> frames, vanilla;
+        FrameRGB rgb;
+        for (std::int64_t s = lo; s < hi; ++s) {
+          const auto si = static_cast<std::size_t>(s);
+          const codec::EncodedSegment& seg = encoded.segments[si];
+          FrameQuality* seg_quality = slots(s);
+          if (!models.empty()) {
+            const sr::Edsr& model = *models[si];
+            // Anchors must be enhanced from the *vanilla* decode: the micro
+            // model was trained on plainly decoded frames, and re-enhancing
+            // an already-enhanced chain compounds the correction until it
+            // diverges (this is why NEMO keeps its anchor inputs on the
+            // un-enhanced path).
+            if (anchors) vanilla_decoder.decode_segment_into(seg, vanilla);
+            decoder.set_reference_hook(
+                [&, warm = s > lo](FrameYUV& f, codec::FrameType type,
+                                   int display_index) {
+                  const int local = display_index - seg.first_frame;
+                  if (type == codec::FrameType::kP &&
+                      local % anchor_period != 0)
+                    return;
+                  guarded_after_warmup(
+                      warm, "core/client_pipeline.cpp:in-loop SR (warm)", [&] {
+                        // P anchor: replace the drifted reference with the
+                        // enhanced vanilla reconstruction, an I-refresh
+                        // that costs an inference instead of bits.
+                        if (type == codec::FrameType::kP)
+                          f = vanilla[static_cast<std::size_t>(local)];
+                        enhance_reference_frame(f, model);
+                        ++seg_quality[local].inferences;
+                      });
+                },
+                /*include_p_frames=*/anchors);
+          }
+          decoder.decode_segment_into(seg, frames);
+          for (std::size_t i = 0; i < frames.size(); ++i) {
+            yuv420_to_rgb_into(frames[i], rgb);
+            measure_frame(original, opts, rgb,
+                          frame_base[si] + static_cast<int>(i), seg_quality[i]);
+          }
+        }
+      },
+      "core/client_pipeline.cpp:play_segments");
+  return quality;
 }
 
 }  // namespace
 
 void enhance_reference_frame(FrameYUV& frame, const sr::Edsr& model) {
-  if (model.config().scale != 1)
+  if (model.config().scale != 1) {
+    // May run under playback's hot-path guard: sanction the message so the
+    // real diagnostic is not masked by HotPathAllocError.
+    AllocAllowScope allow;
     throw std::invalid_argument(
         "enhance_reference_frame: in-loop enhancement requires a scale-1 model "
         "(the enhanced picture must fit back into the DPB)");
+  }
   // Steps 2-5 of Fig. 6. The two RGB intermediates are per-thread and reused
   // across calls — like the model's inference workspace — so steady-state
   // in-loop enhancement stays off the allocator.
@@ -186,27 +195,22 @@ PlaybackResult play_dcsr(const codec::EncodedVideo& encoded,
                          const std::vector<std::unique_ptr<sr::Edsr>>& models,
                          const VideoSource& original,
                          const PlaybackOptions& opts) {
-  if (labels.size() != encoded.segments.size())
-    throw std::invalid_argument("play_dcsr: one label per segment required");
-  for (const int l : labels)
-    if (l < 0 || static_cast<std::size_t>(l) >= models.size())
-      throw std::invalid_argument("play_dcsr: label out of range");
-  return decode_and_measure(
-      encoded, original, opts, [&](FrameYUV& f, int segment) {
-        enhance_reference_frame(
-            f, *models[static_cast<std::size_t>(labels[static_cast<std::size_t>(segment)])]);
-      });
+  return gather(
+      play_segments(encoded, original, opts,
+                    models_by_label(encoded, labels, models, "play_dcsr")),
+      opts, 1);
 }
 
 PlaybackResult play_nemo(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                          const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(encoded, original, opts,
-                            [&](FrameYUV& f, int) { enhance_reference_frame(f, big_model); });
+  const std::vector<const sr::Edsr*> models(encoded.segments.size(), &big_model);
+  return gather(play_segments(encoded, original, opts, models), opts, 1);
 }
 
 PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  MetricsCollector collector(original, opts);
+  std::vector<FrameQuality> quality(
+      static_cast<std::size_t>(encoded.frame_count()));
   codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
   decoder.set_deblock(encoded.deblock);
   // One slot per sampled frame, hoisted out of the segment loop so the
@@ -236,7 +240,7 @@ PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_
     // Out-of-loop enhancement fans out across the pool: every sampled frame
     // is YUV->RGB converted and super-resolved independently against the one
     // shared model (infer touches no member state, so concurrent calls are
-    // safe), each task writing only its own slots. Metrics then accumulate
+    // safe), each task writing only its own slots. Metrics then follow
     // serially in display order, keeping results bit-identical for any
     // DCSR_THREADS.
     guarded_after_warmup(
@@ -257,92 +261,30 @@ PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_
               "core/client_pipeline.cpp:play_nas");
         });
     for (std::size_t i = 0; i < sampled; ++i)
-      collector.measure_rgb(slots[i].enhanced, slots[i].display);
+      measure_frame(original, opts, slots[i].enhanced, slots[i].display,
+                    quality[static_cast<std::size_t>(slots[i].display)]);
     frame_base += static_cast<int>(frames.size());
     ++seg_index;
   }
-  return collector.finish();
+  return gather(quality, opts, opts.nas_eval_stride);
 }
 
 PlaybackResult play_low(const codec::EncodedVideo& encoded,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(encoded, original, opts, nullptr);
+  return gather(play_segments(encoded, original, opts, {}), opts, 1);
 }
 
 AnchorPlaybackResult play_dcsr_anchors(
     const codec::EncodedVideo& encoded, const std::vector<int>& labels,
     const std::vector<std::unique_ptr<sr::Edsr>>& models,
     const VideoSource& original, int anchor_period, const PlaybackOptions& opts) {
-  if (labels.size() != encoded.segments.size())
-    throw std::invalid_argument("play_dcsr_anchors: one label per segment required");
-  for (const int l : labels)
-    if (l < 0 || static_cast<std::size_t>(l) >= models.size())
-      throw std::invalid_argument("play_dcsr_anchors: label out of range");
-
+  const std::vector<FrameQuality> quality = play_segments(
+      encoded, original, opts,
+      models_by_label(encoded, labels, models, "play_dcsr_anchors"),
+      anchor_period);
   AnchorPlaybackResult result;
-  MetricsCollector collector(original, opts);
-  codec::Decoder enhanced_decoder(encoded.width, encoded.height, encoded.crf);
-  codec::Decoder vanilla_decoder(encoded.width, encoded.height, encoded.crf);
-  enhanced_decoder.set_deblock(encoded.deblock);
-  vanilla_decoder.set_deblock(encoded.deblock);
-
-  struct SegmentOut {
-    std::vector<FrameRGB> rgb;
-    int inferences = 0;
-  };
-  // Rotating pair of segment outputs, same scheme as decode_and_measure:
-  // the producer refills s%2 while the consumer drains the other, and warm
-  // frame slots are rewritten in place segment after segment.
-  std::array<SegmentOut, 2> seg_bufs;
-  const auto produce = [&](std::size_t s) {
-    SegmentOut& out = seg_bufs[s % 2];
-    out.inferences = 0;
-    const sr::Edsr& model = *models[static_cast<std::size_t>(labels[s])];
-
-    // Anchors must be enhanced from the *vanilla* decode: the micro model
-    // was trained on plainly decoded frames, and re-enhancing an
-    // already-enhanced chain compounds the correction until it diverges
-    // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
-    const auto vanilla = vanilla_decoder.decode_segment(encoded.segments[s]);
-
-    enhanced_decoder.set_reference_hook(
-        [&, s](FrameYUV& f, codec::FrameType type, int display_index) {
-          const int local = display_index - encoded.segments[s].first_frame;
-          guarded_after_warmup(
-              s > 0, "core/client_pipeline.cpp:play_dcsr_anchors(warm)", [&] {
-                if (type == codec::FrameType::kI) {
-                  enhance_reference_frame(f, model);
-                  ++out.inferences;
-                  return;
-                }
-                // P anchor: replace the drifted reference with the enhanced
-                // vanilla reconstruction — an I-refresh that costs an
-                // inference instead of bits.
-                if (anchor_period > 0 && local % anchor_period == 0) {
-                  f = vanilla[static_cast<std::size_t>(local)];
-                  enhance_reference_frame(f, model);
-                  ++out.inferences;
-                }
-              });
-        },
-        /*include_p_frames=*/anchor_period > 0);
-    convert_segment_into(enhanced_decoder.decode_segment(encoded.segments[s]),
-                         out.rgb);
-    return &out;
-  };
-
-  std::vector<int> frame_base(encoded.segments.size(), 0);
-  for (std::size_t s = 1; s < encoded.segments.size(); ++s)
-    frame_base[s] = frame_base[s - 1] +
-                    static_cast<int>(encoded.segments[s - 1].frames.size());
-
-  pipeline_segments<SegmentOut*>(
-      encoded.segments.size(), produce, [&](SegmentOut* seg, std::size_t s) {
-        result.inferences += seg->inferences;
-        for (std::size_t i = 0; i < seg->rgb.size(); ++i)
-          collector.measure_rgb(seg->rgb[i], frame_base[s] + static_cast<int>(i));
-      });
-  result.playback = collector.finish();
+  for (const FrameQuality& q : quality) result.inferences += q.inferences;
+  result.playback = gather(quality, opts, 1);
   return result;
 }
 

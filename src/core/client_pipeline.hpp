@@ -34,6 +34,16 @@ struct PlaybackResult {
   double mean_ssim = 0.0;
 };
 
+/// play_dcsr, play_nemo, play_low and play_dcsr_anchors share one driver.
+/// Every segment opens with an I frame, so segments decode independently of
+/// one another: they are spread over the process-wide pool in contiguous
+/// chunks, each chunk with decoders of its own, and each display frame's
+/// PSNR/SSIM lands in a slot of its own; the result is then gathered
+/// serially in display order. A chunk holds one segment of decoded pictures
+/// at a time. Results are bit-identical for any DCSR_THREADS, and
+/// DCSR_THREADS=1 is the serial program. A malformed segment makes the play
+/// throw the decoder's error, whichever thread decoded it.
+
 /// Client-side dcSR (Fig. 6): decode each segment; when its I frame lands in
 /// the DPB, convert YUV->RGB, run the segment's micro model (selected by
 /// cluster label), convert back, resume decoding so P/B frames reference the

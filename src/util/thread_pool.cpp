@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -516,86 +515,6 @@ void ThreadPool::parallel_for_writes(
   }
 #endif
   parallel_for(begin, end, grain, fn);
-}
-
-struct PipelineThread::Impl {
-  std::mutex mutex;
-  std::condition_variable cv;
-  // Non-owning view of the caller's task; engaged exactly while one is
-  // pending or running. FunctionRef has no default state, so the empty
-  // optional is the "idle" encoding.
-  std::optional<FunctionRef<void()>> task;
-  bool busy = false;
-  bool stop = false;
-  std::exception_ptr error;
-  std::thread worker;
-
-  void loop() {
-    for (;;) {
-      // Copied out of `task` under the lock: FunctionRef is non-owning, so
-      // the local must never bind a temporary callable of its own (the
-      // referent would die at the end of the declaration).
-      std::optional<FunctionRef<void()>> fn;
-      {
-        std::unique_lock lk(mutex);
-        cv.wait(lk, [&] { return stop || task.has_value(); });
-        if (!task.has_value()) return;  // stop, nothing pending
-        fn = task;
-      }
-      std::exception_ptr err;
-      try {
-        if (fn.has_value()) (*fn)();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      {
-        std::lock_guard lk(mutex);
-        task.reset();
-        busy = false;
-        error = err;
-      }
-      cv.notify_all();
-    }
-  }
-};
-
-PipelineThread::PipelineThread() : impl_(std::make_unique<Impl>()) {
-  impl_->worker = std::thread([impl = impl_.get()] { impl->loop(); });
-}
-
-PipelineThread::~PipelineThread() {
-  {
-    std::lock_guard lk(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->cv.notify_all();
-  // The loop finishes an in-flight task before honouring stop; its
-  // exception (if any) is discarded — the destructor may already be
-  // running during unwinding.
-  impl_->worker.join();
-}
-
-void PipelineThread::run(FunctionRef<void()> fn) {
-  {
-    std::lock_guard lk(impl_->mutex);
-    if (impl_->busy)
-      throw std::logic_error(
-          "PipelineThread::run: a task is already in flight (call wait first)");
-    impl_->task.emplace(fn);
-    impl_->busy = true;
-    impl_->error = nullptr;
-  }
-  impl_->cv.notify_all();
-}
-
-void PipelineThread::wait() {
-  std::unique_lock lk(impl_->mutex);
-  impl_->cv.wait(lk, [&] { return !impl_->busy; });
-  if (impl_->error) {
-    std::exception_ptr err = impl_->error;
-    impl_->error = nullptr;
-    std::rethrow_exception(err);
-  }
 }
 
 namespace {

@@ -165,42 +165,6 @@ class ThreadPool {
   int threads_;
 };
 
-/// Persistent single-task worker for producer/consumer pipelining.
-///
-/// The segment pipeline keeps exactly one producer in flight ahead of the
-/// consumer. Doing that with std::async hands every segment to a *fresh*
-/// thread, so thread-local state — above all the Workspace arena — is cold
-/// again each segment (the PR-4 caveat). A PipelineThread owns one thread
-/// for its whole lifetime and runs one task at a time on it, so the
-/// producer's workspace warms once and stays warm across every segment of a
-/// playback: the zero-miss steady-state guarantee extends to pipelining.
-///
-/// `run` hands the thread a task; at most one may be in flight (a second
-/// `run` before `wait` throws std::logic_error). The task is a FunctionRef —
-/// non-owning — so the callable must outlive the run/wait pair; the segment
-/// pipeline keeps one named lambda alive for the whole playback. `wait`
-/// blocks until the task finishes and rethrows anything it threw. The
-/// destructor waits for an in-flight task (discarding its exception, since
-/// unwinding may already be in progress) and joins the thread.
-class PipelineThread {
- public:
-  PipelineThread();
-  ~PipelineThread();
-  PipelineThread(const PipelineThread&) = delete;
-  PipelineThread& operator=(const PipelineThread&) = delete;
-
-  /// Starts `fn` on the worker thread. Precondition: no task in flight.
-  void run(FunctionRef<void()> fn);
-
-  /// Blocks until the in-flight task (if any) finishes; rethrows its
-  /// exception, if it threw. Idempotent when nothing is in flight.
-  void wait();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Process-wide default pool, created on first use. Sized from the
 /// `DCSR_THREADS` environment variable when set (see thread_count_from_env),
 /// otherwise from `std::thread::hardware_concurrency()`.

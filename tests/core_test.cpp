@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
+#include <string>
+
 #include "core/baselines.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
@@ -10,6 +14,7 @@
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "stream/session.hpp"
+#include "tensor/workspace.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 
@@ -189,17 +194,70 @@ struct PlaybackSetup {
   std::vector<int> labels;
 };
 
-PlaybackSetup make_playback_setup(std::uint64_t seed) {
+// `segment_frames` = 6 cuts the 40-frame clip into seven segments (the last
+// one shorter), enough to give 3 and 4 threads uneven chunk boundaries.
+// Segments alternate between two models.
+PlaybackSetup make_playback_setup(std::uint64_t seed, int segment_frames = 20) {
   PlaybackSetup s;
   s.video = make_genre_video(Genre::kNews, seed, 48, 32, 4.0, 10.0);
   ServerConfig cfg = tiny_config();
-  const auto segments = split::fixed_segments(s.video->frame_count(), 20);
+  const auto segments =
+      split::fixed_segments(s.video->frame_count(), segment_frames);
   s.encoded = codec::Encoder(cfg.codec).encode(*s.video, segments);
   Rng rng(7);
-  s.models.push_back(std::make_unique<sr::Edsr>(
-      sr::EdsrConfig{.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng));
-  s.labels.assign(s.encoded.segments.size(), 0);
+  for (int m = 0; m < 2; ++m)
+    s.models.push_back(std::make_unique<sr::Edsr>(
+        sr::EdsrConfig{.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng));
+  for (std::size_t i = 0; i < s.encoded.segments.size(); ++i)
+    s.labels.push_back(static_cast<int>(i % 2));
   return s;
+}
+
+// The four in-loop playback paths (LOW, dcSR, NEMO, dcSR with anchors every
+// 4 frames), then NAS, at the current pool size.
+std::vector<PlaybackResult> play_every_path(const PlaybackSetup& s,
+                                            const PlaybackOptions& opts) {
+  std::vector<PlaybackResult> out;
+  out.push_back(play_low(s.encoded, *s.video, opts));
+  out.push_back(play_dcsr(s.encoded, s.labels, s.models, *s.video, opts));
+  out.push_back(play_nemo(s.encoded, *s.models[0], *s.video, opts));
+  out.push_back(play_dcsr_anchors(s.encoded, s.labels, s.models, *s.video,
+                                  /*anchor_period=*/4, opts)
+                    .playback);
+  out.push_back(play_nas(s.encoded, *s.models[0], *s.video, opts));
+  return out;
+}
+
+#if DCSR_FP_EXACT_BUILD
+// CRC-32 over the raw bytes of every PSNR and SSIM double of the first
+// `paths` results, in order.
+std::uint32_t quality_crc(const std::vector<PlaybackResult>& results,
+                          std::size_t paths) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t p = 0; p < paths; ++p)
+    for (const std::vector<double>* v :
+         {&results[p].frame_psnr, &results[p].frame_ssim}) {
+      const std::size_t at = bytes.size();
+      bytes.resize(at + v->size() * sizeof(double));
+      std::memcpy(bytes.data() + at, v->data(), v->size() * sizeof(double));
+    }
+  return codec::crc32(bytes.data(), bytes.size());
+}
+#endif
+
+void expect_same_quality(const PlaybackResult& want, const PlaybackResult& got,
+                         const std::string& what) {
+  ASSERT_EQ(want.frame_psnr.size(), got.frame_psnr.size()) << what;
+  for (std::size_t i = 0; i < want.frame_psnr.size(); ++i)
+    EXPECT_EQ(want.frame_psnr[i], got.frame_psnr[i]) << what << " frame " << i;
+  ASSERT_EQ(want.frame_ssim.size(), got.frame_ssim.size()) << what;
+  for (std::size_t i = 0; i < want.frame_ssim.size(); ++i)
+    EXPECT_EQ(want.frame_ssim[i], got.frame_ssim[i])
+        << what << " ssim sample " << i;
+  EXPECT_EQ(want.psnr_frame_index, got.psnr_frame_index) << what;
+  EXPECT_EQ(want.ssim_frame_index, got.ssim_frame_index) << what;
+  EXPECT_EQ(want.mean_psnr, got.mean_psnr) << what;
+  EXPECT_EQ(want.mean_ssim, got.mean_ssim) << what;
 }
 
 TEST(ClientPipeline, AllPathsMeasureSsimOnSameFrames) {
@@ -233,38 +291,122 @@ TEST(ClientPipeline, AllPathsMeasureSsimOnSameFrames) {
 }
 
 TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
-  // The client's new concurrency (segment-pipelined decode, fanned-out NAS
-  // enhancement, parallel im2col) must never change results: same floats for
-  // DCSR_THREADS=1 and =4.
-  const PlaybackSetup s = make_playback_setup(32);
+  // The client's concurrency (segments spread over the pool, fanned-out NAS
+  // enhancement, parallel im2col) must never change results: same floats
+  // for every DCSR_THREADS. Seven segments over 3 threads split 2/2/3. The
+  // PSNR and SSIM doubles of LOW, dcSR, NEMO and dcSR with anchors are also
+  // pinned to the values the single-lookahead segment pipeline produced
+  // (CRC recorded at that commit), so the segment-parallel driver is held
+  // to the old program's arithmetic, not only to itself.
+  const PlaybackSetup s = make_playback_setup(32, /*segment_frames=*/6);
+  ASSERT_EQ(s.encoded.segments.size(), 7u);
   PlaybackOptions opts;
   opts.nas_eval_stride = 3;
 
   const int saved_threads = default_thread_count();
-  const auto run_all = [&](int threads) {
+  std::vector<PlaybackResult> serial;
+  for (const int threads : {1, 2, 3, 4}) {
     set_default_pool_threads(threads);
-    std::vector<PlaybackResult> out;
-    out.push_back(play_dcsr(s.encoded, s.labels, s.models, *s.video, opts));
-    out.push_back(play_nas(s.encoded, *s.models[0], *s.video, opts));
-    out.push_back(play_dcsr_anchors(s.encoded, s.labels, s.models, *s.video,
-                                    /*anchor_period=*/4, opts)
-                      .playback);
-    return out;
-  };
-  const auto serial = run_all(1);
-  const auto threaded = run_all(4);
-  set_default_pool_threads(saved_threads);
-
-  for (std::size_t p = 0; p < serial.size(); ++p) {
-    ASSERT_EQ(serial[p].frame_psnr.size(), threaded[p].frame_psnr.size());
-    for (std::size_t i = 0; i < serial[p].frame_psnr.size(); ++i)
-      EXPECT_EQ(serial[p].frame_psnr[i], threaded[p].frame_psnr[i])
-          << "path " << p << " frame " << i;
-    ASSERT_EQ(serial[p].frame_ssim.size(), threaded[p].frame_ssim.size());
-    for (std::size_t i = 0; i < serial[p].frame_ssim.size(); ++i)
-      EXPECT_EQ(serial[p].frame_ssim[i], threaded[p].frame_ssim[i])
-          << "path " << p << " ssim sample " << i;
+    const auto results = play_every_path(s, opts);
+    if (threads == 1) serial = results;
+    for (std::size_t p = 0; p < serial.size(); ++p)
+      expect_same_quality(serial[p], results[p],
+                          "threads " + std::to_string(threads) + " path " +
+                              std::to_string(p));
+#if DCSR_FP_EXACT_BUILD
+    EXPECT_EQ(quality_crc(results, 4), 0x5d0e66c1u) << "threads " << threads;
+#endif
   }
+  set_default_pool_threads(saved_threads);
+}
+
+TEST(ClientPipeline, MalformedMiddleSegmentThrowsAtEveryThreadCount) {
+  // A P frame before any reference in the middle segment: whichever chunk
+  // decodes it, the play throws the decoder's std::invalid_argument, and
+  // the pool is left fit for the next play.
+  const PlaybackSetup s = make_playback_setup(33, /*segment_frames=*/6);
+  codec::EncodedVideo bad = s.encoded;
+  codec::EncodedSegment& middle = bad.segments[bad.segments.size() / 2];
+  ASSERT_EQ(middle.frames.front().type, codec::FrameType::kI);
+  middle.frames.front().type = codec::FrameType::kP;
+
+  const int saved_threads = default_thread_count();
+  set_default_pool_threads(1);
+  const PlaybackResult ref_low = play_low(s.encoded, *s.video);
+  const PlaybackResult ref_dcsr =
+      play_dcsr(s.encoded, s.labels, s.models, *s.video);
+  for (const int threads : {1, 4}) {
+    set_default_pool_threads(threads);
+    const std::string where = "threads " + std::to_string(threads);
+    for (const bool dcsr : {false, true}) {
+      try {
+        if (dcsr)
+          play_dcsr(bad, s.labels, s.models, *s.video);
+        else
+          play_low(bad, *s.video);
+        ADD_FAILURE() << where << ": malformed segment played through";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "decode: P frame before any reference") << where;
+      }
+    }
+    expect_same_quality(ref_low, play_low(s.encoded, *s.video), where + " low");
+    expect_same_quality(ref_dcsr,
+                        play_dcsr(s.encoded, s.labels, s.models, *s.video),
+                        where + " dcsr");
+  }
+  set_default_pool_threads(saved_threads);
+}
+
+TEST(ClientPipeline, WarmPoolPlaysDcsrWithoutWorkspaceMisses) {
+  // In-loop SR runs on the caller and the pool workers, whose workspaces
+  // live as long as the pool. Once every pool thread has enhanced one frame
+  // of this size, a whole play_dcsr is served from warm arenas: zero new
+  // misses, and every checkout of every I-frame enhancement is a hit on a
+  // live workspace (a play that ran SR on a thread of its own would leave
+  // hits missing, since a finished thread's workspace leaves the registry).
+  const PlaybackSetup s = make_playback_setup(34, /*segment_frames=*/6);
+  constexpr int kThreads = 4;
+  const int saved_threads = default_thread_count();
+  set_default_pool_threads(kThreads);
+
+  const FrameYUV sample = rgb_to_yuv420(s.video->frame(0));
+  const auto enhance_sample = [&] {
+    FrameYUV f = sample;
+    enhance_reference_frame(f, *s.models[0]);
+  };
+  // Each chunk waits until all four have started, so no thread runs two
+  // and every pool thread enhances once.
+  std::latch all_started(kThreads);
+  parallel_for(0, kThreads, 1, [&](std::int64_t, std::int64_t) {
+    all_started.arrive_and_wait();
+    enhance_sample();
+  });
+  // Checkouts per enhancement, counted on this (already warm) thread inside
+  // a one-chunk region, so nested regions run inline as they do in a play.
+  std::uint64_t hits_per_frame = 0;
+  parallel_for(0, 1, 1, [&](std::int64_t, std::int64_t) {
+    const std::uint64_t before = Workspace::local().stats().hits;
+    enhance_sample();
+    hits_per_frame = Workspace::local().stats().hits - before;
+  });
+  ASSERT_GT(hits_per_frame, 0u);
+  std::uint64_t i_frames = 0;
+  for (const auto& seg : s.encoded.segments)
+    for (const auto& f : seg.frames) i_frames += f.type == codec::FrameType::kI;
+
+  const PlaybackResult first =
+      play_dcsr(s.encoded, s.labels, s.models, *s.video);
+  for (int play = 0; play < 2; ++play) {
+    const Workspace::Stats before = Workspace::aggregate_stats();
+    const PlaybackResult again =
+        play_dcsr(s.encoded, s.labels, s.models, *s.video);
+    const Workspace::Stats after = Workspace::aggregate_stats();
+    EXPECT_EQ(after.misses, before.misses) << "play " << play;
+    EXPECT_EQ(after.hits - before.hits, i_frames * hits_per_frame)
+        << "play " << play;
+    expect_same_quality(first, again, "play " + std::to_string(play));
+  }
+  set_default_pool_threads(saved_threads);
 }
 
 TEST(ClientPipeline, PlayDcsrValidatesLabels) {

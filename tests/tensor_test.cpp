@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -570,45 +569,6 @@ TEST(Workspace, LocalIsPerThreadAndStable) {
   Workspace& a = Workspace::local();
   Workspace& b = Workspace::local();
   EXPECT_EQ(&a, &b);
-}
-
-TEST(Workspace, PipelineThreadKeepsLocalWorkspaceWarmAcrossTasks) {
-  // The PR-4 caveat, fixed: segment producers used to run via std::async,
-  // which hands every segment to a fresh thread — a fresh thread-local
-  // Workspace, so every segment re-missed its whole working set. The
-  // segment pipeline now runs all producer tasks on one PipelineThread;
-  // this pins the mechanism: the thread (and thus Workspace::local()) is
-  // the same across tasks, and after the first task's cold acquire every
-  // later task is served entirely from the warm arena — zero new misses.
-  constexpr int kTasks = 6;
-  std::array<Workspace::Stats, kTasks> stats{};
-  std::array<std::thread::id, kTasks> tids{};
-  int task_index = 0;
-  PipelineThread producer;
-  const auto task = [&] {
-    {
-      WorkspaceTensor t = Workspace::local().acquire({64, 64});
-      (*t)[0] = static_cast<float>(task_index);
-    }
-    stats[static_cast<std::size_t>(task_index)] = Workspace::local().stats();
-    tids[static_cast<std::size_t>(task_index)] = std::this_thread::get_id();
-  };
-  for (int s = 0; s < kTasks; ++s) {
-    task_index = s;
-    producer.run(task);
-    producer.wait();
-  }
-  for (int s = 1; s < kTasks; ++s) {
-    EXPECT_EQ(tids[static_cast<std::size_t>(s)], tids[0])
-        << "every task must run on the same persistent thread";
-    EXPECT_EQ(stats[static_cast<std::size_t>(s)].misses, stats[0].misses)
-        << "task " << s << " re-missed: the workspace went cold";
-    EXPECT_EQ(stats[static_cast<std::size_t>(s)].bytes_allocated,
-              stats[0].bytes_allocated)
-        << "task " << s << " allocated beyond warm-up";
-  }
-  EXPECT_EQ(stats[kTasks - 1].hits, stats[0].hits + kTasks - 1)
-      << "warm tasks must be served from the cached buffer";
 }
 
 TEST(Workspace, FailedAcquireLeavesCountersUntouched) {

@@ -267,41 +267,6 @@ TEST(ThreadPool, DefaultPoolOverride) {
   set_default_pool_threads(saved);
 }
 
-TEST(PipelineThread, DestructorCompletesInFlightTaskBeforeEarlierLocalsDie) {
-  // Regression for the segment pipeline's unwinding order: everything the
-  // lookahead task touches is declared BEFORE the PipelineThread, so when the
-  // consumer throws mid-lookahead, ~PipelineThread runs first, finishes the
-  // in-flight task and joins while `task` and `result` are still alive. With
-  // the declarations inverted the task would race their destruction (the
-  // bug this pins against; ASan/TSan would flag it here).
-  std::vector<int> result(4096, -1);
-  const auto task = [&] {
-    for (std::size_t i = 0; i < result.size(); ++i)
-      result[i] = static_cast<int>(i % 251);
-  };
-  try {
-    PipelineThread producer;
-    producer.run(task);
-    throw std::runtime_error("consume failed mid-lookahead");
-  } catch (const std::runtime_error&) {
-  }
-  // The destructor finished the task before honouring stop: every slot is
-  // written, none observed mid-destruction.
-  for (std::size_t i = 0; i < result.size(); ++i)
-    ASSERT_EQ(result[i], static_cast<int>(i % 251));
-}
-
-TEST(PipelineThread, DestructorDiscardsInFlightTaskException) {
-  // The destructor may already run during unwinding, so a failing in-flight
-  // task must not rethrow (or terminate) — its error is discarded.
-  const auto task = [] { throw std::runtime_error("produce failed"); };
-  {
-    PipelineThread producer;
-    producer.run(task);
-  }
-  SUCCEED();
-}
-
 // RAII toggle for the write-claim checker so a failing assertion cannot leak
 // the forced state into later tests.
 class CheckGuard {

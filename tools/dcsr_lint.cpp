@@ -8,10 +8,10 @@
 //   [threads]       no raw std::thread / std::jthread / std::async outside
 //                   the one sanctioned site: the pool module itself
 //                   (src/util/thread_pool.cpp may use std::thread — it
-//                   implements both ThreadPool and PipelineThread). The
-//                   former std::async sanction for the segment pipeline is
-//                   gone: producers now run on a persistent PipelineThread
-//                   so their thread-local workspaces stay warm (PR 10).
+//                   implements ThreadPool). Everything concurrent, client
+//                   playback included, runs as parallel_for chunks on the
+//                   pool, whose workers keep their thread-local workspaces
+//                   warm for the life of the pool.
 //   [unnamed-claim] every parallel_for_writes call passes an explicit
 //                   `site` string — the overlap/containment diagnostics
 //                   lead with it, and the "unnamed parallel_for_writes"
@@ -169,7 +169,7 @@ void rule_threads(const std::string& path, const std::string& stripped,
          "threads",
          "raw std::" + token +
              " outside the sanctioned site (util/thread_pool.cpp); use "
-             "parallel_for or PipelineThread"});
+             "parallel_for"});
   }
 }
 
@@ -536,7 +536,7 @@ const Fixture kFixtures[] = {
      "std::vector<std::thread> workers; unsigned n = "
      "std::thread::hardware_concurrency();",
      nullptr},
-    {"std::async in the segment pipeline is no longer sanctioned",
+    {"std::async in client playback is not sanctioned",
      "src/core/client_pipeline.cpp",
      "next = std::async(std::launch::async, produce, s + 1);", "threads"},
     {"std::async is not sanctioned in the pool", "src/util/thread_pool.cpp",
