@@ -301,7 +301,7 @@ void BM_EdsrEnhanceSteadyState(benchmark::State& state) {
 BENCHMARK(BM_EdsrEnhanceSteadyState);
 
 // Whole-frame enhancement through the stateless infer path, one shared model
-// across the pool, swept over pool sizes — the play_nas fan-out in
+// across the pool, swept over pool sizes — a per-frame fan-out in
 // isolation. 8 frames per iteration, each a parallel_for task.
 void BM_EdsrEnhanceThreads(benchmark::State& state) {
   const int dflt = base_threads();
@@ -316,8 +316,8 @@ void BM_EdsrEnhanceThreads(benchmark::State& state) {
     parallel_for(0, static_cast<std::int64_t>(frames.size()), 1,
                  [&](std::int64_t lo, std::int64_t hi) {
                    for (std::int64_t i = lo; i < hi; ++i)
-                     enhanced[static_cast<std::size_t>(i)] =
-                         model.enhance(frames[static_cast<std::size_t>(i)]);
+                     model.enhance_into(frames[static_cast<std::size_t>(i)],
+                                        enhanced[static_cast<std::size_t>(i)]);
                  });
     benchmark::DoNotOptimize(enhanced.data());
   }
@@ -327,8 +327,8 @@ void BM_EdsrEnhanceThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_EdsrEnhanceThreads)->Arg(1)->Arg(sweep_threads());
 
-// End-to-end NAS playback (decode + concurrent out-of-loop SR + metrics) on
-// a quickstart-sized workload, across pool sizes.
+// End-to-end NAS playback (segment-parallel decode + out-of-loop SR +
+// metrics) on a quickstart-sized workload, across pool sizes.
 void BM_PlayNasThreads(benchmark::State& state) {
   const int dflt = base_threads();
   Rng rng(6);

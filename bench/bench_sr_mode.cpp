@@ -84,10 +84,12 @@ int main() {
   const auto half_frames = dec.decode_video(rc.video);
   double sr_psnr = 0.0, bicubic_psnr = 0.0;
   int n = 0;
+  FrameRGB up;
   for (int i = 0; i < full->frame_count(); i += 7) {
     const FrameRGB lo = yuv420_to_rgb(half_frames[static_cast<std::size_t>(i)]);
     const FrameRGB hi = full->frame(i);
-    sr_psnr += psnr(up_model.enhance(lo), hi);
+    up_model.enhance_into(lo, up);
+    sr_psnr += psnr(up, hi);
     bicubic_psnr += psnr(resize(lo, kWidth, kHeight), hi);
     ++n;
   }

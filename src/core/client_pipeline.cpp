@@ -84,9 +84,12 @@ std::vector<const sr::Edsr*> models_by_label(
   return out;
 }
 
-// The in-loop playback driver. `models[s]` enhances segment s's I frames (no
+// The playback driver. `models[s]` enhances segment s's I frames in-loop (no
 // models: the stream as-is), and with anchor_period > 0 also each P
-// reference whose index within its segment is a multiple of it.
+// reference whose index within its segment is a multiple of it. With an
+// `out_of_loop` model (NAS), only every opts.nas_eval_stride-th display
+// frame is converted, and it is enhanced by that model before it is
+// measured; the other frames are decoded and skipped.
 //
 // Every segment opens with an I frame, so segments decode independently of
 // one another: one pool region runs over segment indices, and each chunk
@@ -101,7 +104,7 @@ std::vector<const sr::Edsr*> models_by_label(
 std::vector<FrameQuality> play_segments(
     const codec::EncodedVideo& encoded, const VideoSource& original,
     const PlaybackOptions& opts, const std::vector<const sr::Edsr*>& models,
-    int anchor_period = 0) {
+    int anchor_period = 0, const sr::Edsr* out_of_loop = nullptr) {
   const std::size_t count = encoded.segments.size();
   std::vector<int> frame_base(count + 1, 0);
   for (std::size_t s = 0; s < count; ++s)
@@ -109,6 +112,7 @@ std::vector<FrameQuality> play_segments(
   std::vector<FrameQuality> quality(
       static_cast<std::size_t>(frame_base[count]));
   const bool anchors = !models.empty() && anchor_period > 0;
+  const int stride = out_of_loop ? opts.nas_eval_stride : 1;
   const auto slots = [&](std::int64_t s) {
     return quality.data() + frame_base[static_cast<std::size_t>(s)];
   };
@@ -125,7 +129,7 @@ std::vector<FrameQuality> play_segments(
         decoder.set_deblock(encoded.deblock);
         vanilla_decoder.set_deblock(encoded.deblock);
         std::vector<FrameYUV> frames, vanilla;
-        FrameRGB rgb;
+        FrameRGB rgb, enhanced;
         for (std::int64_t s = lo; s < hi; ++s) {
           const auto si = static_cast<std::size_t>(s);
           const codec::EncodedSegment& seg = encoded.segments[si];
@@ -160,9 +164,15 @@ std::vector<FrameQuality> play_segments(
           }
           decoder.decode_segment_into(seg, frames);
           for (std::size_t i = 0; i < frames.size(); ++i) {
+            const int display = frame_base[si] + static_cast<int>(i);
+            if (display % stride != 0) continue;
             yuv420_to_rgb_into(frames[i], rgb);
-            measure_frame(original, opts, rgb,
-                          frame_base[si] + static_cast<int>(i), seg_quality[i]);
+            if (out_of_loop)
+              guarded_after_warmup(
+                  s > lo, "core/client_pipeline.cpp:play_nas(warm)",
+                  [&] { out_of_loop->enhance_into(rgb, enhanced); });
+            measure_frame(original, opts, out_of_loop ? enhanced : rgb,
+                          display, seg_quality[i]);
           }
         }
       },
@@ -209,64 +219,8 @@ PlaybackResult play_nemo(const codec::EncodedVideo& encoded, const sr::Edsr& big
 
 PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  std::vector<FrameQuality> quality(
-      static_cast<std::size_t>(encoded.frame_count()));
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
-  // One slot per sampled frame, hoisted out of the segment loop so the
-  // conversion and enhancement buffers stay warm from segment to segment.
-  // Grouping a task's buffers in one struct keeps the parallel section's
-  // write claim a single contiguous span over the slots it owns.
-  struct NasSlot {
-    int display = 0;
-    const FrameYUV* yuv = nullptr;  // borrowed from this segment's decode
-    FrameRGB rgb;                   // YUV->RGB scratch
-    FrameRGB enhanced;              // model output
-  };
-  std::vector<NasSlot> slots;
-  int frame_base = 0;
-  std::size_t seg_index = 0;
-  for (const auto& seg : encoded.segments) {
-    const auto frames = decoder.decode_segment(seg);
-    std::size_t sampled = 0;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const int display = frame_base + static_cast<int>(i);
-      if (display % opts.nas_eval_stride != 0) continue;
-      if (sampled == slots.size()) slots.emplace_back();
-      slots[sampled].display = display;
-      slots[sampled].yuv = &frames[i];
-      ++sampled;
-    }
-    // Out-of-loop enhancement fans out across the pool: every sampled frame
-    // is YUV->RGB converted and super-resolved independently against the one
-    // shared model (infer touches no member state, so concurrent calls are
-    // safe), each task writing only its own slots. Metrics then follow
-    // serially in display order, keeping results bit-identical for any
-    // DCSR_THREADS.
-    guarded_after_warmup(
-        seg_index > 0, "core/client_pipeline.cpp:play_nas(warm)", [&] {
-          parallel_for_writes(
-              0, static_cast<std::int64_t>(sampled), 1,
-              [&](std::int64_t lo, std::int64_t hi) {
-                return span_of(slots.data() + lo,
-                               static_cast<std::size_t>(hi - lo));
-              },
-              [&](std::int64_t lo, std::int64_t hi) {
-                for (std::int64_t i = lo; i < hi; ++i) {
-                  NasSlot& slot = slots[static_cast<std::size_t>(i)];
-                  yuv420_to_rgb_into(*slot.yuv, slot.rgb);
-                  big_model.enhance_into(slot.rgb, slot.enhanced);
-                }
-              },
-              "core/client_pipeline.cpp:play_nas");
-        });
-    for (std::size_t i = 0; i < sampled; ++i)
-      measure_frame(original, opts, slots[i].enhanced, slots[i].display,
-                    quality[static_cast<std::size_t>(slots[i].display)]);
-    frame_base += static_cast<int>(frames.size());
-    ++seg_index;
-  }
-  return gather(quality, opts, opts.nas_eval_stride);
+  return gather(play_segments(encoded, original, opts, {}, 0, &big_model), opts,
+                opts.nas_eval_stride);
 }
 
 PlaybackResult play_low(const codec::EncodedVideo& encoded,

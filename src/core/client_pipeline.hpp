@@ -62,9 +62,9 @@ PlaybackResult play_nemo(const codec::EncodedVideo& encoded,
                          const PlaybackOptions& opts = {});
 
 /// NAS baseline: a single big model applied out-of-loop to every decoded
-/// frame before display. Sampled frames are enhanced concurrently across the
-/// pool (the model's infer path is stateless); results are bit-identical
-/// for any DCSR_THREADS.
+/// frame before display. Segments play concurrently across the pool, each
+/// enhancing its sampled frames against the one shared model (inference is
+/// stateless); results are bit-identical for any DCSR_THREADS.
 PlaybackResult play_nas(const codec::EncodedVideo& encoded,
                         const sr::Edsr& big_model,
                         const VideoSource& original,

@@ -104,24 +104,20 @@ struct FrameYUV {
   bool empty() const noexcept { return y.empty(); }
 };
 
-/// Packs an RGB frame into a 1x3xHxW tensor (model input layout).
-Tensor frame_to_tensor(const FrameRGB& f);
-
-/// Unpacks a 1x3xHxW tensor into an RGB frame, clamping to [0,1].
-FrameRGB tensor_to_frame(const Tensor& t);
-
-/// In-place variants: identical values, but the destination is reshaped in
-/// place so a warm buffer (workspace checkout or long-lived frame slot) is
-/// reused instead of reallocated on every frame.
-void frame_to_tensor_into(const FrameRGB& f, Tensor& t);
-void tensor_to_frame_into(const Tensor& t, FrameRGB& f);
-
-/// Batched variants: pack `n` same-sized frames into one Nx3xHxW tensor /
-/// unpack one back out. Batch item i carries exactly the floats the single-
-/// frame converters would produce for frames[i] — batching is a layout
-/// decision, never a value change. Throws std::invalid_argument on an empty
-/// batch or mixed frame geometry.
+/// Packs `n` same-sized RGB frames into one Nx3xHxW tensor (model input
+/// layout). The destination is reshaped in place, so a warm buffer
+/// (workspace checkout) is reused instead of reallocated on every call.
+/// Batch item i carries the same floats whatever the batch size — batching
+/// is a layout decision, never a value change. Throws std::invalid_argument
+/// on an empty batch or mixed frame geometry.
 void frames_to_tensor_into(const FrameRGB* const* frames, int n, Tensor& t);
+
+/// Unpacks an Nx3xHxW tensor into the N frames `frames` points at, clamping
+/// to [0,1]. Warm frames (same size as the last call) are rewritten in place.
 void tensor_to_frames_into(const Tensor& t, FrameRGB* const* frames);
+
+/// Allocating single-frame spellings: a batch of one.
+Tensor frame_to_tensor(const FrameRGB& f);
+FrameRGB tensor_to_frame(const Tensor& t);
 
 }  // namespace dcsr

@@ -39,13 +39,6 @@ Tensor ReLU::forward(const Tensor& x) {
   return out;
 }
 
-Tensor ReLU::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  return out;
-}
-
 void ReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;
   map_into(x, out, [](float v) { return v < 0.0f ? 0.0f : v; });
@@ -62,13 +55,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 Tensor LeakyReLU::forward(const Tensor& x) {
   cached_input_ = x;
   return infer(x);
-}
-
-Tensor LeakyReLU::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] *= slope_;
-  return out;
 }
 
 void LeakyReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
@@ -92,13 +78,6 @@ Tensor Sigmoid::forward(const Tensor& x) {
   return cached_output_;
 }
 
-Tensor Sigmoid::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  return out;
-}
-
 void Sigmoid::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;
   map_into(x, out, [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
@@ -119,12 +98,6 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 Tensor Tanh::forward(const Tensor& x) {
   cached_output_ = infer(x);
   return cached_output_;
-}
-
-Tensor Tanh::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  return out;
 }
 
 void Tanh::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {

@@ -90,12 +90,6 @@ Tensor Conv2d::forward(const Tensor& x) {
   return out;
 }
 
-Tensor Conv2d::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   infer_into(x, out, ws, /*fuse_relu=*/false);
 }

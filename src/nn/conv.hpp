@@ -16,7 +16,6 @@ class Conv2d final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   /// infer_into with the GEMM's fused epilogue extended to clamp at zero —
   /// lets ResBlock fold its inner ReLU into conv1's bias pass. Bit-identical

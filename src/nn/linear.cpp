@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
-#include "tensor/workspace.hpp"
 #include "util/alloc_check.hpp"
 
 namespace dcsr::nn {
@@ -21,12 +20,6 @@ Tensor Linear::forward(const Tensor& x) {
     throw std::invalid_argument("Linear: bad input shape " + x.shape_str());
   cached_input_ = x;
   return infer(x);
-}
-
-Tensor Linear::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
 }
 
 Shape Linear::out_shape(const Shape& in) const {

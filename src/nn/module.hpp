@@ -32,7 +32,7 @@ class NonFiniteError : public std::runtime_error {
 
 /// Scans a layer output for NaN/Inf in checked builds and throws
 /// NonFiniteError naming the layer. Constructed as the last statement of
-/// every infer/infer_into/forward implementation:
+/// every infer_into/forward implementation:
 ///
 ///   FiniteCheckGuard{*this, out};
 ///
@@ -83,24 +83,21 @@ class Module {
   virtual Tensor forward(const Tensor& x) = 0;
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  /// Stateless inference: computes the same function as forward() but writes
-  /// only into caller-owned scratch — no layer caches, no train/eval state,
-  /// no member mutation of any kind. Because it leaves the object untouched,
-  /// one model instance can serve concurrent infer() calls from many threads
-  /// (the client pipeline's frame-level parallelism depends on this).
-  /// backward() after infer() is a logic error: nothing was cached.
-  virtual Tensor infer(const Tensor& x) const = 0;
+  /// Stateless inference, the one virtual inference path: computes the same
+  /// function as forward() — bit-identically — but writes the result into
+  /// `out` (reshaped in place) and draws every piece of scratch from `ws`.
+  /// No layer caches, no train/eval state, no member mutation of any kind,
+  /// so one model instance can serve concurrent calls from many threads (the
+  /// client pipeline's segment-level parallelism depends on this), and a
+  /// warm workspace makes the call allocation-free. `ws` must be the calling
+  /// thread's workspace (see Workspace ownership rules in
+  /// tensor/workspace.hpp). backward() after inference is a logic error:
+  /// nothing was cached.
+  virtual void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const = 0;
 
-  /// Workspace-backed inference: computes the same function as infer() —
-  /// bit-identically — but writes the result into `out` (reshaped in place)
-  /// and draws every piece of scratch from `ws`, so a warm workspace makes
-  /// the call allocation-free. `ws` must be the calling thread's workspace
-  /// (see Workspace ownership rules in tensor/workspace.hpp); hot-path
-  /// layers override this, everything else falls back to infer().
-  virtual void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-    (void)ws;
-    out = infer(x);
-  }
+  /// Allocating spelling of infer_into: a fresh output tensor, scratch from
+  /// this thread's workspace. Not virtual — a layer defines inference once.
+  Tensor infer(const Tensor& x) const;
 
   /// Shape of the output this layer produces for an input of shape `in`,
   /// without running it. Containers use it to size workspace checkouts with

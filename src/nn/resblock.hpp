@@ -15,7 +15,6 @@ class ResBlock final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::vector<Param*> params() override;
   std::string name() const override { return "ResBlock"; }

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "tensor/workspace.hpp"
 #include "util/alloc_check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,12 +23,6 @@ std::int64_t plane_grain(std::size_t plane_floats) {
 }  // namespace
 
 Tensor PixelShuffle::forward(const Tensor& x) { return infer(x); }
-
-Tensor PixelShuffle::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
 
 Shape PixelShuffle::out_shape(const Shape& in) const {
   const int r = scale_;
@@ -123,12 +116,6 @@ Tap bilinear_tap(int o, int r, int in_size) noexcept {
 
 Tensor BilinearUpsample::forward(const Tensor& x) { return infer(x); }
 
-Tensor BilinearUpsample::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape BilinearUpsample::out_shape(const Shape& in) const {
   if (in.size() != 4)
     throw std::invalid_argument("BilinearUpsample: expected NCHW");
@@ -186,12 +173,6 @@ Tensor BilinearUpsample::backward(const Tensor& grad_out) {
 }
 
 Tensor UpsampleNearest::forward(const Tensor& x) { return infer(x); }
-
-Tensor UpsampleNearest::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
 
 Shape UpsampleNearest::out_shape(const Shape& in) const {
   if (in.size() != 4)
@@ -251,11 +232,6 @@ Tensor Flatten::forward(const Tensor& x) {
   return x.reshaped({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
 }
 
-Tensor Flatten::infer(const Tensor& x) const {
-  if (x.rank() != 4) throw std::invalid_argument("Flatten: expected NCHW");
-  return x.reshaped({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
-}
-
 Shape Flatten::out_shape(const Shape& in) const {
   if (in.size() != 4) throw std::invalid_argument("Flatten: expected NCHW");
   return {in[0], in[1] * in[2] * in[3]};
@@ -279,11 +255,6 @@ Tensor Flatten::backward(const Tensor& grad_out) {
 }
 
 Tensor Reshape4::forward(const Tensor& x) { return infer(x); }
-
-Tensor Reshape4::infer(const Tensor& x) const {
-  if (x.rank() != 2) throw std::invalid_argument("Reshape4: expected 2-D input");
-  return x.reshaped({x.dim(0), c_, h_, w_});
-}
 
 Shape Reshape4::out_shape(const Shape& in) const {
   if (in.size() != 2) throw std::invalid_argument("Reshape4: expected 2-D input");

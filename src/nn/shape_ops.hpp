@@ -12,7 +12,6 @@ class PixelShuffle final : public Module {
   explicit PixelShuffle(int scale) : scale_(scale) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "PixelShuffle"; }
@@ -31,7 +30,6 @@ class BilinearUpsample final : public Module {
   explicit BilinearUpsample(int scale) : scale_(scale) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "BilinearUpsample"; }
@@ -46,7 +44,6 @@ class UpsampleNearest final : public Module {
   explicit UpsampleNearest(int scale) : scale_(scale) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "UpsampleNearest"; }
@@ -60,7 +57,6 @@ class Flatten final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "Flatten"; }
@@ -76,7 +72,6 @@ class Reshape4 final : public Module {
   Reshape4(int c, int h, int w) : c_(c), h_(h), w_(w) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "Reshape4"; }

@@ -69,12 +69,6 @@ Tensor Edsr::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Edsr::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape Edsr::out_shape(const Shape& in) const {
   if (in.size() != 4 || in[1] != 3) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
@@ -84,11 +78,11 @@ Shape Edsr::out_shape(const Shape& in) const {
 }
 
 void Edsr::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-  // Same chain and float order as forward()/the old allocating infer(), but
-  // every intermediate is a workspace checkout: the head activation stays
-  // live for the global skip, the residual body ping-pongs through two
-  // equal-shaped buffers (each freed before the next acquire, so at most
-  // two are outstanding), and the tail writes straight into `out`.
+  // Same chain and float order as forward(), but every intermediate is a
+  // workspace checkout: the head activation stays live for the global skip,
+  // the residual body ping-pongs through two equal-shaped buffers (each
+  // freed before the next acquire, so at most two are outstanding), and the
+  // tail writes straight into `out`.
   //
   // The whole chain runs under an allocation guard: once the workspace is
   // warm, a frame must not touch the heap at all. Warm-up traffic (workspace
@@ -176,47 +170,18 @@ void Edsr::set_training(bool training) {
   tail_.set_training(training);
 }
 
-FrameRGB Edsr::enhance(const FrameRGB& frame) const {
-  FrameRGB out;
-  enhance_into(frame, out);
-  return out;
-}
-
 void Edsr::enhance_into(const FrameRGB& frame, FrameRGB& out) const {
-  // Validate the caller's frame geometry up front, before any workspace
-  // checkout: a partially-filled FrameRGB (e.g. planes reset to different
-  // sizes) would otherwise surface as an opaque tensor-shape error deep in
-  // the model, or worse, an out-of-bounds plane read.
-  if (frame.empty()) {
-    AllocAllowScope allow;  // error path may run under a caller's guard
-    throw std::invalid_argument("Edsr::enhance_into: empty input frame");
-  }
-  if (!frame.r.same_size(frame.g) || !frame.r.same_size(frame.b)) {
-    AllocAllowScope allow;
-    throw std::invalid_argument(
-        "Edsr::enhance_into: inconsistent plane geometry (r " +
-        std::to_string(frame.r.width()) + "x" + std::to_string(frame.r.height()) +
-        ", g " + std::to_string(frame.g.width()) + "x" +
-        std::to_string(frame.g.height()) + ", b " +
-        std::to_string(frame.b.width()) + "x" +
-        std::to_string(frame.b.height()) + ")");
-  }
-  // Both tensor endpoints come from this thread's workspace, so the only
-  // buffers that persist across calls are the caller's `out` planes — warm
-  // ones are rewritten in place. Guarded after validation: a warm enhance is
-  // heap-silent end to end (frame→tensor, inference, tensor→frame).
-  HotPathGuard alloc_guard("sr/edsr.cpp:Edsr::enhance_into");
-  Workspace& ws = Workspace::local();
-  WorkspaceTensor in = ws.acquire({1, 3, frame.height(), frame.width()});
-  frame_to_tensor_into(frame, *in);
-  WorkspaceTensor y = ws.acquire(out_shape(in->shape()));
-  infer_into(*in, *y, ws);
-  in = WorkspaceTensor();
-  tensor_to_frame_into(*y, out);
+  const FrameRGB* in = &frame;
+  FrameRGB* dst = &out;
+  enhance_batch_into(&in, &dst, 1);
 }
 
 void Edsr::enhance_batch_into(const FrameRGB* const* frames, FrameRGB* const* outs,
                               int n) const {
+  // Validate the caller's frame geometry up front, before any workspace
+  // checkout: a partially-filled FrameRGB (e.g. planes reset to different
+  // sizes) would otherwise surface as an opaque tensor-shape error deep in
+  // the model, or worse, an out-of-bounds plane read.
   if (n <= 0) {
     AllocAllowScope allow;  // error path may run under a caller's guard
     throw std::invalid_argument("Edsr::enhance_batch_into: empty batch");
@@ -239,8 +204,12 @@ void Edsr::enhance_batch_into(const FrameRGB* const* frames, FrameRGB* const* ou
   }
   // One workspace checkout for the whole batch, one infer over Nx3xHxW.
   // Every module's infer_into processes batch items independently, so the
-  // result is bit-identical to n enhance_into calls — batching only
+  // result is bit-identical to n single-frame calls — batching only
   // amortises the per-call overhead (and, in the fleet, the model traffic).
+  // Both tensor endpoints come from this thread's workspace, so the only
+  // buffers that persist across calls are the caller's `outs` planes — warm
+  // ones are rewritten in place. Guarded after validation: a warm enhance is
+  // heap-silent end to end (frame→tensor, inference, tensor→frame).
   HotPathGuard alloc_guard("sr/edsr.cpp:Edsr::enhance_batch_into");
   Workspace& ws = Workspace::local();
   WorkspaceTensor in =

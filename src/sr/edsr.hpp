@@ -41,14 +41,10 @@ class Edsr final : public nn::Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Stateless forward pass (same floats as forward(), no member mutation).
-  /// Safe to call concurrently from any number of threads on one instance —
-  /// the client pipeline's frame-level inference parallelism relies on it.
-  Tensor infer(const Tensor& x) const override;
-
-  /// Workspace-backed infer: bit-identical to infer(), all intermediates
-  /// drawn from `ws` (the calling thread's workspace). Steady-state playback
-  /// runs this with zero heap allocations once the workspace is warm.
+  /// Stateless forward pass (same floats as forward(), no member mutation),
+  /// every intermediate drawn from `ws` (the calling thread's workspace).
+  /// Safe to call concurrently from any number of threads on one instance,
+  /// and heap-silent once the workspace is warm.
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
 
   Shape out_shape(const Shape& in) const override;
@@ -70,14 +66,11 @@ class Edsr final : public nn::Module {
   /// because of running out of memory".
   std::uint64_t activation_bytes(int in_width, int in_height) const noexcept;
 
-  /// Enhances a single RGB frame (convenience around infer()). const and
-  /// thread-safe: no train/eval toggling, no layer caches touched.
-  FrameRGB enhance(const FrameRGB& frame) const;
-
-  /// enhance() writing into a caller-owned frame: with `out` warm (same
-  /// size as the last call) and this thread's workspace warmed up, the whole
-  /// enhance path — conversion, inference, conversion back — runs without
-  /// touching the allocator. Values identical to enhance().
+  /// Enhances one RGB frame into a caller-owned frame: a batch of one. const
+  /// and thread-safe (no train/eval toggling, no layer caches touched); with
+  /// `out` warm (same size as the last call) and this thread's workspace
+  /// warmed up, conversion, inference and conversion back run without
+  /// touching the allocator.
   void enhance_into(const FrameRGB& frame, FrameRGB& out) const;
 
   /// Batched enhance: packs `n` same-sized frames into one Nx3xHxW tensor,

@@ -72,7 +72,7 @@ class WorkspaceTensor {
 ///     thread its own instance; pool workers warm their own arenas.
 ///   - A WorkspaceTensor must be released on the acquiring thread. Nothing
 ///     here is locked — cross-thread release is a data race by construction.
-///   - Concurrent `infer`/`enhance` calls on a shared model are still safe
+///   - Concurrent `infer_into`/`enhance_into` calls on a shared model are safe
 ///     precisely because each calling thread draws scratch from its own
 ///     workspace; the model itself stays untouched.
 class Workspace {

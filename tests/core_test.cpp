@@ -291,13 +291,14 @@ TEST(ClientPipeline, AllPathsMeasureSsimOnSameFrames) {
 }
 
 TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
-  // The client's concurrency (segments spread over the pool, fanned-out NAS
-  // enhancement, parallel im2col) must never change results: same floats
-  // for every DCSR_THREADS. Seven segments over 3 threads split 2/2/3. The
-  // PSNR and SSIM doubles of LOW, dcSR, NEMO and dcSR with anchors are also
-  // pinned to the values the single-lookahead segment pipeline produced
-  // (CRC recorded at that commit), so the segment-parallel driver is held
-  // to the old program's arithmetic, not only to itself.
+  // The client's concurrency (segments spread over the pool, parallel
+  // im2col) must never change results: same floats for every DCSR_THREADS.
+  // Seven segments over 3 threads split 2/2/3. The PSNR and SSIM doubles of
+  // LOW, dcSR, NEMO and dcSR with anchors are also pinned to the values the
+  // single-lookahead segment pipeline produced, and NAS's to the values of
+  // its own per-frame fan-out (each CRC recorded at that commit), so the
+  // segment-parallel driver is held to the old programs' arithmetic, not
+  // only to itself.
   const PlaybackSetup s = make_playback_setup(32, /*segment_frames=*/6);
   ASSERT_EQ(s.encoded.segments.size(), 7u);
   PlaybackOptions opts;
@@ -315,6 +316,7 @@ TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
                               std::to_string(p));
 #if DCSR_FP_EXACT_BUILD
     EXPECT_EQ(quality_crc(results, 4), 0x5d0e66c1u) << "threads " << threads;
+    EXPECT_EQ(quality_crc({results[4]}, 1), 0x35f4e1cdu) << "threads " << threads;
 #endif
   }
   set_default_pool_threads(saved_threads);

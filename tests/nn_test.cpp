@@ -465,9 +465,10 @@ TEST(Module, ParamCountMatchesArchitecture) {
   EXPECT_EQ(conv.param_count(), 16u * 27u + 16u);
 }
 
-// The stateless contract: infer() must compute the exact same floats as
-// forward() — not merely close, bit-identical — for every layer type, since
-// the concurrent client paths rely on swapping one for the other.
+// The stateless contract: infer_into (reached here through infer(), its
+// allocating spelling) must compute the exact same floats as forward() —
+// not merely close, bit-identical — for every layer type, since the
+// concurrent client paths rely on swapping one for the other.
 void expect_infer_matches_forward(Module& m, const Tensor& x) {
   const Tensor from_forward = m.forward(x);
   const Tensor from_infer = m.infer(x);
@@ -505,6 +506,11 @@ TEST(Infer, MatchesForwardBitwisePerLayer) {
   expect_infer_matches_forward(bilinear, x);
   UpsampleNearest nearest(2);
   expect_infer_matches_forward(nearest, x);
+
+  Flatten flatten;
+  expect_infer_matches_forward(flatten, x);
+  Reshape4 reshape(4, 6, 6);
+  expect_infer_matches_forward(reshape, Tensor::randn({2, 4 * 6 * 6}, rng));
 
   ResBlock res(4, rng, 0.5f);
   expect_infer_matches_forward(res, x);

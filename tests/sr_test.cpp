@@ -173,7 +173,8 @@ TEST(Edsr, EnhanceRoundTripsThroughFrames) {
   Rng rng(8);
   Edsr model({.n_filters = 4, .n_resblocks = 1}, rng);
   const FrameRGB f = textured_frame(16, 16, 9);
-  const FrameRGB out = model.enhance(f);
+  FrameRGB out;
+  model.enhance_into(f, out);
   EXPECT_EQ(out.width(), 16);
   EXPECT_EQ(out.height(), 16);
 }
@@ -497,23 +498,25 @@ TEST(Edsr, EnhanceIsConstAndPreservesTrainingMode) {
   model.set_training(true);
   const Edsr& view = model;  // enhance must be callable through const
   const FrameRGB f = textured_frame(16, 16, 93);
-  const FrameRGB out = view.enhance(f);
+  FrameRGB out;
+  view.enhance_into(f, out);
   EXPECT_EQ(out.width(), 16);
   EXPECT_TRUE(model.training()) << "enhance must not flip train/eval state";
 }
 
 TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
-  // One trained-model instance, many frames in flight: the client's play_nas
-  // fan-out. Frame-for-frame the concurrent results must be bit-identical to
-  // enhancing serially.
+  // One trained-model instance, many frames in flight, as in the client's
+  // segment-parallel playback. Frame-for-frame the concurrent results must
+  // be bit-identical to enhancing serially.
   Rng rng(94);
   const Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
   std::vector<FrameRGB> frames;
   for (int i = 0; i < 6; ++i)
     frames.push_back(textured_frame(20, 14, 100 + static_cast<std::uint64_t>(i)));
 
-  std::vector<FrameRGB> serial;
-  for (const FrameRGB& f : frames) serial.push_back(model.enhance(f));
+  std::vector<FrameRGB> serial(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    model.enhance_into(frames[i], serial[i]);
 
   const int saved_threads = default_thread_count();
   set_default_pool_threads(4);
@@ -521,8 +524,8 @@ TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
   parallel_for(0, static_cast<std::int64_t>(frames.size()), 1,
                [&](std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i)
-                   concurrent[static_cast<std::size_t>(i)] =
-                       model.enhance(frames[static_cast<std::size_t>(i)]);
+                   model.enhance_into(frames[static_cast<std::size_t>(i)],
+                                      concurrent[static_cast<std::size_t>(i)]);
                });
   set_default_pool_threads(saved_threads);
 

@@ -24,12 +24,14 @@
 //   [random]        no rand()/srand()/std::random_device outside
 //                   src/util/rng.* — all randomness flows through the
 //                   deterministic, forkable Rng.
-//   [module-infer]  every concrete nn::Module subclass declares
-//                   `infer(...) const` — the stateless, concurrency-safe
-//                   entry point PR 2 made mandatory.
+//   [module-infer]  no nn::Module subclass declares its own `infer(` —
+//                   nn::Module::infer is the one non-virtual allocating
+//                   spelling of the pure-virtual infer_into (which the
+//                   compiler already demands of every concrete layer), and
+//                   a subclass declaration would hide it.
 //   [const-forward] no forward( call inside a `const` member function —
 //                   forward() mutates layer caches; const paths must call
-//                   infer().
+//                   infer_into() (or infer()).
 //   [infer-alloc]   no allocating kernel spellings (matmul(, matmul_tn(,
 //                   matmul_nt(, matmul*_naive(, im2col() inside an
 //                   `infer(...) const` / `infer_into(...) const` body under
@@ -272,7 +274,7 @@ void rule_module_infer(const std::string& path, const std::string& stripped,
                        std::vector<Finding>& findings) {
   static const std::regex re(
       R"(class\s+(\w+)(\s+final)?\s*:\s*public\s+(?:nn::)?Module\b)");
-  static const std::regex re_infer(R"(\binfer\s*\([^;{)]*\)\s*const\b)");
+  static const std::regex re_infer(R"(\binfer\s*\()");
   for (auto it = std::sregex_iterator(stripped.begin(), stripped.end(), re);
        it != std::sregex_iterator(); ++it) {
     const std::size_t pos = static_cast<std::size_t>(it->position());
@@ -280,14 +282,26 @@ void rule_module_infer(const std::string& path, const std::string& stripped,
     if (open == std::string::npos) continue;  // forward declaration
     const std::size_t close = match_brace(stripped, open);
     if (close == std::string::npos) continue;
-    const std::string body = stripped.substr(open, close - open);
-    if (!std::regex_search(body, re_infer))
+    // Member declarations only: blank everything nested deeper than the
+    // class body (inline function bodies, nested types), where infer( is a
+    // call, not a declaration.
+    std::string body = stripped.substr(open, close - open);
+    int depth = 0;
+    for (char& c : body) {
+      if (c == '{') ++depth;
+      const bool nested = depth > 1;
+      if (c == '}') --depth;
+      if (nested && c != '\n') c = ' ';
+    }
+    std::smatch m;
+    if (std::regex_search(body, m, re_infer))
       findings.push_back(
-          {path, line_of(stripped, pos), "module-infer",
+          {path, line_of(stripped, open + static_cast<std::size_t>(m.position())),
+           "module-infer",
            "class " + (*it)[1].str() +
-               " derives from nn::Module but does not declare "
-               "`infer(...) const` — every concrete layer must provide the "
-               "stateless, thread-safe inference path"});
+               " declares its own infer( — it would hide nn::Module::infer, "
+               "the one allocating spelling of infer_into; a layer defines "
+               "inference once, in infer_into"});
   }
 }
 
@@ -312,7 +326,8 @@ void rule_const_forward(const std::string& path, const std::string& stripped,
       findings.push_back(
           {path, line_of(stripped, open + fpos), "const-forward",
            "forward( called inside a const member function: forward() "
-           "mutates layer caches — const paths must call infer()"});
+           "mutates layer caches — const paths must call infer_into() "
+           "(or its allocating spelling infer())"});
     }
   }
 }
@@ -620,30 +635,42 @@ const Fixture kFixtures[] = {
     {"member named rand", "src/codec/motion.cpp", "int y = gen.rand();",
      nullptr},
     // [module-infer]
-    {"Module subclass without const infer", "src/nn/foo.hpp",
+    {"Module subclass declaring its own infer", "src/nn/foo.hpp",
      "#pragma once\nclass Foo final : public Module {\n"
      " public:\n  Tensor forward(const Tensor& x) override;\n"
-     "  Tensor backward(const Tensor& g) override;\n};\n",
+     "  Tensor infer(const Tensor& x) const;\n"
+     "  void infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const override;\n};\n",
      "module-infer"},
-    {"Module subclass with const infer", "src/nn/foo.hpp",
+    {"Module subclass with only infer_into", "src/nn/foo.hpp",
      "#pragma once\nclass Foo final : public Module {\n"
      " public:\n  Tensor forward(const Tensor& x) override;\n"
-     "  Tensor infer(const Tensor& x) const override;\n"
+     "  void infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const override;\n"
      "  Tensor backward(const Tensor& g) override;\n};\n",
      nullptr},
-    {"qualified nn::Module base without infer", "src/sr/bar.hpp",
+    {"qualified nn::Module base with an infer overload", "src/sr/bar.hpp",
      "#pragma once\nclass Bar final : public nn::Module {\n"
+     "  Tensor infer(const Tensor& x, int scale) const;\n"
      "  int infer_count_;\n};\n",
      "module-infer"},
+    {"inline body calling infer is fine", "src/nn/foo.hpp",
+     "#pragma once\nclass Foo final : public Module {\n"
+     "  Tensor forward(const Tensor& x) override { return infer(x); }\n"
+     "  int infer_count_;\n};\n",
+     nullptr},
     // [const-forward]
     {"forward() called from const method", "src/nn/foo.cpp",
-     "Tensor Foo::infer(const Tensor& x) const { return forward(x); }",
+     "void Foo::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const { out = forward(x); }",
      "const-forward"},
     {"member forward() from const method", "src/sr/baz.cpp",
-     "Tensor Baz::infer(const Tensor& x) const { return head_.forward(x); }",
+     "void Baz::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const { out = head_.forward(x); }",
      "const-forward"},
-    {"infer calling infer is fine", "src/nn/foo.cpp",
-     "Tensor Foo::infer(const Tensor& x) const { return inner_.infer(x); }",
+    {"infer_into calling infer_into is fine", "src/nn/foo.cpp",
+     "void Foo::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const { inner_.infer_into(x, out, ws); }",
      nullptr},
     {"std::forward is not Module::forward", "src/util/meta.hpp",
      "#pragma once\ntemplate <class F> int call(F&& f) const_dummy();\n"
@@ -654,18 +681,18 @@ const Fixture kFixtures[] = {
      "Tensor Foo::forward(const Tensor& x) { return inner_.forward(x); }",
      nullptr},
     // [infer-alloc]
-    {"allocating im2col in an infer body", "src/nn/conv.cpp",
-     "Tensor Conv2d::infer(const Tensor& x) const {\n"
-     "  Tensor cols = im2col(x, 0, kernel_, stride_, pad_);\n"
-     "  return cols;\n}\n",
+    {"allocating im2col in an infer_into body", "src/nn/conv.cpp",
+     "void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const {\n  Tensor cols = im2col(x, 0, kernel_, stride_, pad_);\n"
+     "  out = cols;\n}\n",
      "infer-alloc"},
     {"allocating matmul in an infer_into body", "src/nn/linear.cpp",
      "void Linear::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
      "const {\n  out = matmul(x, weight_.value);\n}\n",
      "infer-alloc"},
-    {"naive matmul in an infer body", "src/nn/linear.cpp",
-     "Tensor Linear::infer(const Tensor& x) const {\n"
-     "  return matmul_tn_naive(x, weight_.value);\n}\n",
+    {"naive matmul in the base infer body", "src/nn/module.cpp",
+     "Tensor Module::infer(const Tensor& x) const {\n"
+     "  return matmul_tn_naive(x, x);\n}\n",
      "infer-alloc"},
     {"*_into spellings in infer_into are fine", "src/nn/linear.cpp",
      "void Linear::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
@@ -676,9 +703,9 @@ const Fixture kFixtures[] = {
      "Tensor Linear::forward(const Tensor& x) {\n"
      "  return matmul_nt(x, weight_.value);\n}\n",
      nullptr},
-    {"allocating matmul in infer outside src/nn", "src/sr/patchnet.cpp",
-     "Tensor PatchNet::infer(const Tensor& x) const {\n"
-     "  return matmul(x, proj_);\n}\n",
+    {"allocating matmul in infer_into outside src/nn", "src/sr/patchnet.cpp",
+     "void PatchNet::infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const {\n  out = matmul(x, proj_);\n}\n",
      nullptr},
     // [raw-index]
     {"raw .data()[ in a layer", "src/nn/foo.cpp",
@@ -738,7 +765,7 @@ const Fixture kFixtures[] = {
      "// std::getenv is banned here\nint x;", nullptr},
     // [pragma-once]
     {"header without pragma once", "src/nn/foo.hpp",
-     "class Foo final : public Module { Tensor infer(const Tensor&) const; };",
+     "class Foo final : public Module { Shape out_shape(const Shape&) const; };",
      "pragma-once"},
     {"source file needs no pragma once", "src/nn/foo.cpp", "int x;", nullptr},
 };
