@@ -442,8 +442,9 @@ void BM_MotionSearch(benchmark::State& state) {
   const auto video = make_genre_video(Genre::kSports, 7, 128, 80, 1.0, 30.0);
   const FrameYUV a = rgb_to_yuv420(video->frame(0));
   const FrameYUV b = rgb_to_yuv420(video->frame(5));
+  const codec::PaddedPlane cur(b.y, 0), ref(a.y, codec::search_border(8));
   for (auto _ : state)
-    benchmark::DoNotOptimize(codec::motion_search(b.y, a.y, 48, 32, 16, 8));
+    benchmark::DoNotOptimize(codec::motion_search(cur, ref, 48, 32, 16, 8));
 }
 BENCHMARK(BM_MotionSearch);
 
@@ -452,11 +453,30 @@ void BM_IntraFrameEncode(benchmark::State& state) {
   const FrameYUV f = rgb_to_yuv420(video->frame(0));
   const codec::Quantizer q(28);
   for (auto _ : state) {
-    codec::BitWriter bw;
-    benchmark::DoNotOptimize(codec::encode_intra_frame(f, q, bw));
+    codec::EncodedFrame ef;
+    benchmark::DoNotOptimize(codec::encode_intra_frame_sliced(f, q, 1, ef));
+    benchmark::DoNotOptimize(ef.payload.data());
   }
 }
 BENCHMARK(BM_IntraFrameEncode);
+
+// One P frame of the server pipeline's encode (96x64, its CRF 51, search
+// range 8, one slice) against the reconstruction of the previous I frame:
+// motion search, half-pel refinement, prediction and residual coding.
+void BM_InterFrameEncode(benchmark::State& state) {
+  const auto video = make_genre_video(Genre::kNews, 8, 96, 64, 1.0, 30.0);
+  const FrameYUV f0 = rgb_to_yuv420(video->frame(0));
+  const FrameYUV f1 = rgb_to_yuv420(video->frame(1));
+  const codec::Quantizer q(51);
+  codec::EncodedFrame intra;
+  const FrameYUV ref = codec::encode_intra_frame_sliced(f0, q, 1, intra);
+  for (auto _ : state) {
+    codec::EncodedFrame ef;
+    benchmark::DoNotOptimize(codec::encode_p_frame_sliced(f1, ref, q, 8, 1, ef));
+    benchmark::DoNotOptimize(ef.payload.data());
+  }
+}
+BENCHMARK(BM_InterFrameEncode);
 
 void BM_Psnr(benchmark::State& state) {
   const auto video = make_genre_video(Genre::kGaming, 9, 96, 64, 1.0, 30.0);

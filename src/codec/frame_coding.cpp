@@ -418,15 +418,19 @@ namespace {
 // Codes macroblock rows [r0, r1) of a P frame. The MV predictor resets at
 // every MB row (decoder mirrors it), so row ranges are self-contained and a
 // sliced stream's rows code to exactly the same bits as the legacy frame's.
-void encode_p_rows(const FrameYUV& src, const FrameYUV& ref, FrameYUV& recon,
-                   const Quantizer& q, int search_range, int r0, int r1,
-                   BitWriter& bw) {
+// `src_luma` and `ref_luma` are the padded luma planes motion search reads,
+// built once per frame by the caller; `ref_luma`'s border is
+// search_border(search_range).
+void encode_p_rows(const FrameYUV& src, const PaddedPlane& src_luma,
+                   const FrameYUV& ref, const PaddedPlane& ref_luma,
+                   FrameYUV& recon, const Quantizer& q, int search_range,
+                   int r0, int r1, BitWriter& bw) {
   for (int mby = 16 * r0; mby < 16 * r1; mby += 16) {
     MotionVector pred_mv{0, 0};  // reset at each MB row; decoder mirrors this
     for (int mbx = 0; mbx < src.width(); mbx += 16) {
       const MotionVector full =
-          motion_search(src.y, ref.y, mbx, mby, 16, search_range);
-      const MotionVector mv = refine_halfpel(src.y, ref.y, mbx, mby, 16,
+          motion_search(src_luma, ref_luma, mbx, mby, 16, search_range);
+      const MotionVector mv = refine_halfpel(src_luma, ref_luma, mbx, mby, 16,
                                              {2 * full.x, 2 * full.y});
       const MbPred pred = predict_mb(ref, mbx, mby, mv);
       const MbLevels levels = quantize_mb(src, pred, mbx, mby, q);
@@ -477,7 +481,10 @@ FrameYUV encode_p_frame(const FrameYUV& src, const FrameYUV& ref,
                         const Quantizer& q, int search_range, BitWriter& bw) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
-  encode_p_rows(src, ref, recon, q, search_range, 0, src.height() / 16, bw);
+  const PaddedPlane src_luma(src.y, 0);
+  const PaddedPlane ref_luma(ref.y, search_border(search_range));
+  encode_p_rows(src, src_luma, ref, ref_luma, recon, q, search_range, 0,
+                src.height() / 16, bw);
   recon.y.clamp01();
   recon.u.clamp01();
   recon.v.clamp01();
@@ -498,11 +505,13 @@ FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,
                                EncodedFrame& frame) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
+  const PaddedPlane src_luma(src.y, 0);
+  const PaddedPlane ref_luma(ref.y, search_border(search_range));
   for (const SliceSpan s : slice_partition(src.height() / 16, slices)) {
     BitWriter bw;
     write_slice_header(bw, s);
-    encode_p_rows(src, ref, recon, q, search_range, s.first_mb_row,
-                  s.first_mb_row + s.mb_row_count, bw);
+    encode_p_rows(src, src_luma, ref, ref_luma, recon, q, search_range,
+                  s.first_mb_row, s.first_mb_row + s.mb_row_count, bw);
     append_slice(frame, bw.finish());
   }
   recon.y.clamp01();
@@ -530,20 +539,22 @@ enum class BMode : std::uint8_t { kForward = 0, kBackward = 1, kBi = 2 };
 
 // Codes macroblock rows [r0, r1) of a B frame. B macroblocks carry absolute
 // MVs (no cross-MB predictor), so row ranges are naturally self-contained.
-void encode_b_rows(const FrameYUV& src, const FrameYUV& ref_past,
-                   const FrameYUV& ref_future, FrameYUV& recon,
-                   const Quantizer& q, int search_range, int r0, int r1,
-                   BitWriter& bw) {
+// The padded luma planes are as for encode_p_rows.
+void encode_b_rows(const FrameYUV& src, const PaddedPlane& src_luma,
+                   const FrameYUV& ref_past, const PaddedPlane& past_luma,
+                   const FrameYUV& ref_future, const PaddedPlane& future_luma,
+                   FrameYUV& recon, const Quantizer& q, int search_range,
+                   int r0, int r1, BitWriter& bw) {
   for (int mby = 16 * r0; mby < 16 * r1; mby += 16) {
     for (int mbx = 0; mbx < src.width(); mbx += 16) {
       const MotionVector full0 =
-          motion_search(src.y, ref_past.y, mbx, mby, 16, search_range);
-      const MotionVector mv0 = refine_halfpel(src.y, ref_past.y, mbx, mby, 16,
-                                              {2 * full0.x, 2 * full0.y});
+          motion_search(src_luma, past_luma, mbx, mby, 16, search_range);
+      const MotionVector mv0 = refine_halfpel(src_luma, past_luma, mbx, mby,
+                                              16, {2 * full0.x, 2 * full0.y});
       const MotionVector full1 =
-          motion_search(src.y, ref_future.y, mbx, mby, 16, search_range);
-      const MotionVector mv1 = refine_halfpel(src.y, ref_future.y, mbx, mby, 16,
-                                              {2 * full1.x, 2 * full1.y});
+          motion_search(src_luma, future_luma, mbx, mby, 16, search_range);
+      const MotionVector mv1 = refine_halfpel(src_luma, future_luma, mbx, mby,
+                                              16, {2 * full1.x, 2 * full1.y});
       const MbPred p0 = predict_mb(ref_past, mbx, mby, mv0);
       const MbPred p1 = predict_mb(ref_future, mbx, mby, mv1);
       const MbPred pbi = average_pred(p0, p1);
@@ -645,8 +656,11 @@ FrameYUV encode_b_frame(const FrameYUV& src, const FrameYUV& ref_past,
                         int search_range, BitWriter& bw) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
-  encode_b_rows(src, ref_past, ref_future, recon, q, search_range, 0,
-                src.height() / 16, bw);
+  const int border = search_border(search_range);
+  const PaddedPlane src_luma(src.y, 0), past_luma(ref_past.y, border),
+      future_luma(ref_future.y, border);
+  encode_b_rows(src, src_luma, ref_past, past_luma, ref_future, future_luma,
+                recon, q, search_range, 0, src.height() / 16, bw);
   recon.y.clamp01();
   recon.u.clamp01();
   recon.v.clamp01();
@@ -669,11 +683,15 @@ FrameYUV encode_b_frame_sliced(const FrameYUV& src, const FrameYUV& ref_past,
                                EncodedFrame& frame) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
+  const int border = search_border(search_range);
+  const PaddedPlane src_luma(src.y, 0), past_luma(ref_past.y, border),
+      future_luma(ref_future.y, border);
   for (const SliceSpan s : slice_partition(src.height() / 16, slices)) {
     BitWriter bw;
     write_slice_header(bw, s);
-    encode_b_rows(src, ref_past, ref_future, recon, q, search_range,
-                  s.first_mb_row, s.first_mb_row + s.mb_row_count, bw);
+    encode_b_rows(src, src_luma, ref_past, past_luma, ref_future, future_luma,
+                  recon, q, search_range, s.first_mb_row,
+                  s.first_mb_row + s.mb_row_count, bw);
     append_slice(frame, bw.finish());
   }
   recon.y.clamp01();

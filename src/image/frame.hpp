@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -36,7 +37,11 @@ class Plane {
 
   /// Clamped access: coordinates outside the plane read the nearest edge
   /// sample. Used by filters and motion compensation at frame borders.
-  float at_clamped(int x, int y) const noexcept;
+  float at_clamped(int x, int y) const noexcept {
+    x = std::clamp(x, 0, width_ - 1);
+    y = std::clamp(y, 0, height_ - 1);
+    return data_[static_cast<std::size_t>(y) * width_ + x];
+  }
 
   float* data() noexcept { return data_.data(); }
   const float* data() const noexcept { return data_.data(); }

@@ -162,7 +162,9 @@ TEST(Motion, FindsKnownTranslation) {
   for (int y = 0; y < 64; ++y)
     for (int x = 0; x < 64; ++x)
       cur.at(x, y) = ref.at_clamped(x + 3, y - 2);
-  const MotionVector mv = motion_search(cur, ref, 16, 16, 16, 8);
+  const MotionVector mv = motion_search(PaddedPlane(cur, 0),
+                                        PaddedPlane(ref, search_border(8)), 16,
+                                        16, 16, 8);
   EXPECT_EQ(mv.x, 3);
   EXPECT_EQ(mv.y, -2);
 }
@@ -172,7 +174,8 @@ TEST(Motion, StaticBlockYieldsZeroVector) {
   Rng rng(6);
   for (int y = 0; y < 32; ++y)
     for (int x = 0; x < 32; ++x) p.at(x, y) = static_cast<float>(rng.uniform());
-  const MotionVector mv = motion_search(p, p, 8, 8, 16, 8);
+  const MotionVector mv = motion_search(
+      PaddedPlane(p, 0), PaddedPlane(p, search_border(8)), 8, 8, 16, 8);
   EXPECT_EQ(mv.x, 0);
   EXPECT_EQ(mv.y, 0);
 }

@@ -446,12 +446,6 @@ TEST(Edsr, EnhanceBatchMatchesSingleBitwiseScale2) {
   expect_batch_enhance_matches_single(model, 12, 10, 3, 320);
 }
 
-TEST(Edsr, EnhanceBatchOfOneMatchesEnhanceInto) {
-  Rng rng(183);
-  const Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
-  expect_batch_enhance_matches_single(model, 16, 16, 1, 340);
-}
-
 TEST(Edsr, EnhanceBatchRejectsBadBatches) {
   Rng rng(184);
   const Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
